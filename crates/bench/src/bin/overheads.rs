@@ -271,11 +271,12 @@ fn main() {
         results_identical,
     );
 
-    // D14 companion: classification-service latency, cold vs warm. A first
-    // server generation primes the on-disk replay cache; a second
-    // generation over the same directory must answer from persisted
-    // replays alone (zero vproc executions) with a byte-identical report.
-    eprintln!("service mode: cold vs warm submit over the browser workload ...");
+    // D14 companion: classification-service latency, cold vs warm vs no
+    // cache. A first server generation fills the report memo; a second
+    // generation over the same directory must answer from the memo alone
+    // (zero vproc executions) with a byte-identical report. A server
+    // without a cache directory gives the recompute-everything baseline.
+    eprintln!("service mode: cold, warm and no-cache submits over the browser workload ...");
     let source = tvm::asm::disassemble_annotated(&program);
     let recording = idna_replay::recorder::record(&program, &run);
     let container = serviced::container::log_to_bytes_with(
@@ -287,11 +288,11 @@ fn main() {
     let cache_dir =
         std::env::temp_dir().join(format!("racerepd-bench-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
-    let boot = || {
+    let boot = |cache_dir: Option<std::path::PathBuf>| {
         let server = serviced::Server::bind(serviced::ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
-            cache_dir: Some(cache_dir.clone()),
+            cache_dir,
             ..serviced::ServerConfig::default()
         })
         .expect("bind service");
@@ -304,41 +305,51 @@ fn main() {
             serviced::client::submit(addr, &source, &container, 40).expect("submit succeeds");
         (start.elapsed(), response)
     };
-    let (addr, handle) = boot();
+    // Fastest of five submits to one server, plus the last response. Five
+    // even at smoke scale: the acceptor polls every 25 ms when idle, so a
+    // millisecond-scale submit can wait out one poll now and then.
+    let best_of = |addr: &str| {
+        let mut best = Duration::MAX;
+        let mut last = Json::Null;
+        for _ in 0..5 {
+            let (t, response) = submit(addr);
+            best = best.min(t);
+            last = response;
+        }
+        (best, last)
+    };
+    let (addr, handle) = boot(Some(cache_dir.clone()));
     let (cold_time, cold) = submit(&addr);
     serviced::client::shutdown(&addr).expect("shutdown");
     handle.join().expect("server thread").expect("clean drain");
-    let (addr, handle) = boot();
-    let mut warm_time = Duration::MAX;
-    let mut warm = cold.clone();
-    for _ in 0..reps {
-        let (t, response) = submit(&addr);
-        warm_time = warm_time.min(t);
-        warm = response;
-    }
+    let (addr, handle) = boot(Some(cache_dir.clone()));
+    let (warm_time, warm) = best_of(&addr);
     let svc_stats = serviced::client::stats(&addr).expect("stats");
     serviced::client::shutdown(&addr).expect("shutdown");
     handle.join().expect("server thread").expect("clean drain");
     let _ = std::fs::remove_dir_all(&cache_dir);
+    let (addr, handle) = boot(None);
+    let (nocache_time, nocache) = best_of(&addr);
+    serviced::client::shutdown(&addr).expect("shutdown");
+    handle.join().expect("server thread").expect("clean drain");
     let report_of = |response: &Json| {
         response.get("report").expect("result carries a report").to_string_pretty()
     };
     let service_reports_identical =
-        report_of(&cold) == one_shot_json && report_of(&warm) == one_shot_json;
+        [&cold, &warm, &nocache].iter().all(|response| report_of(response) == one_shot_json);
     let warm_replays = warm.get("replays").and_then(Json::as_u64).unwrap_or(u64::MAX);
-    let warm_store_hits = warm.get("store_hits").and_then(Json::as_u64).unwrap_or(0);
     let warm_persisted_hits = svc_stats
         .get("cache")
         .and_then(|c| c.get("persisted_hits"))
         .and_then(Json::as_u64)
         .unwrap_or(0);
     println!(
-        "service: cold submit {:?} -> warm {:?}; warm vproc replays {}, \
-         {} store hits ({} persisted); reports identical to one-shot: {}",
+        "service: cold submit {:?} -> warm {:?} (no cache {:?}); warm vproc replays {}, \
+         {} memo hits; reports identical to one-shot: {}",
         cold_time,
         warm_time,
+        nocache_time,
         warm_replays,
-        warm_store_hits,
         warm_persisted_hits,
         service_reports_identical,
     );
@@ -460,8 +471,8 @@ fn main() {
             Json::obj(vec![
                 ("cold_submit_ms", Json::from(ms(cold_time))),
                 ("warm_submit_ms", Json::from(ms(warm_time))),
+                ("nocache_submit_ms", Json::from(ms(nocache_time))),
                 ("warm_vproc_replays", Json::from(warm_replays)),
-                ("warm_store_hits", Json::from(warm_store_hits)),
                 ("warm_persisted_hits", Json::from(warm_persisted_hits)),
                 ("reports_identical", Json::from(service_reports_identical)),
             ]),

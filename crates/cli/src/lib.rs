@@ -19,6 +19,7 @@
 //! racerep doctor    run.idna
 //! racerep disasm    prog.tasm
 //! racerep serve     [--addr HOST:PORT] [--workers N] [--queue N] [--cache-dir DIR]
+//!                   [--cache MODE] [--batch off|shared] [--permissive]
 //! racerep submit    prog.tasm run.idna [--addr HOST:PORT] [--format text|json]
 //!                   [--fail-on none|harmful|warnings]
 //! racerep svc-stats    [--addr HOST:PORT] [--format text|json]
@@ -65,8 +66,11 @@
 //! the program.
 //!
 //! `serve` runs the racerepd classification service (DESIGN.md D14): a
-//! long-lived server with a bounded job queue, a worker pool, and a
-//! persistent content-addressed replay cache under `--cache-dir`.
+//! long-lived server with a bounded job queue, a worker pool, and, under
+//! `--cache-dir`, a report memo that keeps each finished report keyed by
+//! the exact program text, log bytes and classifier flags (`--cache`,
+//! `--batch`, `--permissive`, ... given to `serve`). A resubmitted workload
+//! is answered from the memo without replaying anything.
 //! `submit` classifies a recorded workload through it — the JSON output
 //! is byte-identical to one-shot `races --format json`, and `--fail-on
 //! harmful` gates the exit code on the remote verdicts like `lint` does.
@@ -814,12 +818,13 @@ pub fn cmd_submit(
     let out = if json {
         report_value.to_string_pretty()
     } else {
-        let replays = response.get("replays").and_then(Json::as_u64).unwrap_or(0);
-        let store_hits = response.get("store_hits").and_then(Json::as_u64).unwrap_or(0);
         let mut text = report.to_text();
-        text.push_str(&format!(
-            "\nservice: {replays} replay(s) executed, {store_hits} served from the replay cache\n"
-        ));
+        if response.get("cached").and_then(Json::as_bool) == Some(true) {
+            text.push_str("\nservice: served from the report memo, 0 replays executed\n");
+        } else {
+            let replays = response.get("replays").and_then(Json::as_u64).unwrap_or(0);
+            text.push_str(&format!("\nservice: classified, {replays} replay(s) executed\n"));
+        }
         text
     };
     Ok((out, i32::from(gate_tripped)))
@@ -861,25 +866,26 @@ pub fn cmd_svc_stats(addr: &str, json: bool) -> Result<String, CliError> {
     ));
     if doc.get("cache").is_some() {
         out.push_str(&format!(
-            "cache: {} entr(ies) in {} segment(s) ({} bytes), {} mem hit(s), {} persisted hit(s), {} miss(es), {} write(s)\n",
+            "report memo: {} entr(ies) ({} bytes), {} hit(s), {} miss(es) ({} invalid entr(ies) refused), {} write(s), {} write error(s)\n",
             num(&["cache", "entries"]),
-            num(&["cache", "segments"]),
             num(&["cache", "disk_bytes"]),
-            num(&["cache", "mem_hits"]),
             num(&["cache", "persisted_hits"]),
             num(&["cache", "misses"]),
+            num(&["cache", "invalid_entries"]),
             num(&["cache", "persisted_writes"]),
+            num(&["cache", "write_errors"]),
         ));
     } else {
-        out.push_str("cache: disabled (no --cache-dir)\n");
+        out.push_str("report memo: disabled (no --cache-dir)\n");
     }
     out.push_str(&format!(
-        "phase_ns: decode {} replay {} detect {} classify {} report {}\n",
+        "phase_ns: decode {} replay {} detect {} classify {} report {} memo {}\n",
         num(&["phase_ns", "decode"]),
         num(&["phase_ns", "replay"]),
         num(&["phase_ns", "detect"]),
         num(&["phase_ns", "classify"]),
         num(&["phase_ns", "report"]),
+        num(&["phase_ns", "memo"]),
     ));
     Ok(out)
 }
@@ -1129,7 +1135,6 @@ pub fn dispatch_with_status(args: &[String]) -> Result<(String, i32), CliError> 
             queue_capacity: queue,
             cache_dir: cache_dir.map(std::path::PathBuf::from),
             classifier,
-            ..serviced::ServerConfig::default()
         })),
         "submit" => cmd_submit(arg(0, "program path")?, arg(1, "log path")?, &addr, json, fail_on),
         "svc-stats" => ok(cmd_svc_stats(&addr, json)),

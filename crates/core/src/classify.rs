@@ -488,43 +488,6 @@ impl ReplayCache {
     }
 }
 
-/// An external live-out store consulted around the in-run [`ReplayCache`]:
-/// a persistent replay cache, a cross-trace memo, or any other source of
-/// previously computed dual-order live-outs.
-///
-/// The classifier asks the store for every planned job *after* the
-/// sequential plan is fixed; hits are scattered into the job's outcome slot
-/// without executing a virtual processor, and fresh outcomes are published
-/// back. Because the plan — and therefore the assembly order — is unchanged,
-/// a store that returns exactly what a cold run would have computed yields a
-/// byte-identical classification with zero replays.
-///
-/// Implementations must key on everything a live-out depends on: both
-/// [`AccessSite`]s, the [`PairOrder`], the program, the recorded trace, and
-/// the [`VprocConfig`] the replays run under. The classifier passes only the
-/// sites and order; the caller binds the rest when it constructs the store.
-pub trait ReplayStore: Sync {
-    /// Returns the stored live-out for this dual-region replay, or `None`
-    /// to have the classifier execute it.
-    fn fetch(
-        &self,
-        a: &AccessSite,
-        b: &AccessSite,
-        order: PairOrder,
-    ) -> Option<Result<PairLiveOut, ReplayFailure>>;
-
-    /// Records a freshly executed live-out for future [`fetch`]es.
-    ///
-    /// [`fetch`]: ReplayStore::fetch
-    fn publish(
-        &self,
-        a: &AccessSite,
-        b: &AccessSite,
-        order: PairOrder,
-        outcome: &Result<PairLiveOut, ReplayFailure>,
-    );
-}
-
 /// Classifier options.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ClassifierConfig {
@@ -603,9 +566,6 @@ pub struct ClassificationResult {
     /// because the evidence was damaged" from "harmful on clean
     /// evidence". Always 0 for strict (clean) decodes.
     pub log_damaged_races: u64,
-    /// Planned jobs answered by an external [`ReplayStore`] instead of a
-    /// virtual-processor execution. Always 0 without a store.
-    pub store_hits: u64,
     /// The populated replay cache, for downstream phases (the report) to
     /// reuse live-outs from. `None` when caching was off or after merging
     /// across traces (a cache is only meaningful for its own trace).
@@ -853,22 +813,6 @@ pub fn classify_races_with(
     config: &ClassifierConfig,
     predictions: Option<&BTreeMap<StaticRaceId, StaticPrediction>>,
 ) -> ClassificationResult {
-    classify_races_stored(trace, detected, config, predictions, None)
-}
-
-/// [`classify_races_with`], additionally consulting an external
-/// [`ReplayStore`] for planned live-outs. Store hits skip the virtual
-/// processor entirely (they are excluded from `vproc_replays` and from
-/// batch formation); fresh outcomes are published back to the store. With
-/// `store` `None` this is exactly [`classify_races_with`].
-#[must_use]
-pub fn classify_races_stored(
-    trace: &ReplayTrace,
-    detected: &DetectedRaces,
-    config: &ClassifierConfig,
-    predictions: Option<&BTreeMap<StaticRaceId, StaticPrediction>>,
-    store: Option<&dyn ReplayStore>,
-) -> ClassificationResult {
     let cache = ReplayCache::new(config.cache, config.vproc);
 
     // Phase 1: plan. A sequential walk fixes which replays run and which
@@ -914,67 +858,23 @@ pub fn classify_races_stored(
     }
 
     // Phase 2: execute every planned replay, batched by region pair when
-    // batching is on. An external store answers first: hits are pinned to
-    // their slots before execution, the remaining jobs are compacted (and
-    // batched) on their own, and the executed outcomes are scattered back
-    // by the saved index map. The plan itself never changes, so store hits
-    // alter only the cost, never the classification.
-    let mut store_hits = 0u64;
-    let mut prefilled: Vec<Option<Result<PairLiveOut, ReplayFailure>>> = Vec::new();
-    let mut exec_jobs: Vec<ReplayJob> = Vec::new();
-    let mut exec_origin: Vec<usize> = Vec::new();
-    if let Some(store) = store {
-        prefilled.resize_with(jobs.len(), || None);
-        for (i, job) in jobs.iter().enumerate() {
-            match store.fetch(&job.a, &job.b, job.order) {
-                Some(out) => {
-                    store_hits += 1;
-                    prefilled[i] = Some(out);
-                }
-                None => {
-                    exec_origin.push(i);
-                    exec_jobs.push(*job);
-                }
-            }
-        }
-    } else {
-        exec_jobs.clone_from(&jobs);
-        exec_origin.extend(0..jobs.len());
-    }
-    let batches = (config.batching == BatchMode::Shared).then(|| form_batches(&exec_jobs));
-    let (exec_outcomes, batch_stats) =
-        run_jobs(trace, config.vproc, &exec_jobs, batches.as_deref(), config.effective_jobs());
-    if let Some(store) = store {
-        for (job, out) in exec_jobs.iter().zip(&exec_outcomes) {
-            store.publish(&job.a, &job.b, job.order, out);
-        }
-    }
-    let outcomes: Vec<Result<PairLiveOut, ReplayFailure>> = if store.is_some() {
-        let mut executed = exec_outcomes.into_iter();
-        prefilled
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| executed.next().expect("one executed outcome per miss"))
-            })
-            .collect()
-    } else {
-        exec_outcomes
-    };
-    let executed_replays = exec_origin.len() as u64;
+    // batching is on.
+    let batches = (config.batching == BatchMode::Shared).then(|| form_batches(&jobs));
+    let (outcomes, batch_stats) =
+        run_jobs(trace, config.vproc, &jobs, batches.as_deref(), config.effective_jobs());
 
     // Phase 3: assemble, sequentially and in static-id order; note which
     // live-outs the report phase will want back (each race's first exposing
     // instance) so the cache retains exactly those.
     let mut retain = std::collections::HashSet::new();
     let mut result = ClassificationResult {
-        vproc_replays: executed_replays,
+        vproc_replays: jobs.len() as u64,
         cache_stats: CacheStats {
             hits: planned_hits,
             misses: jobs.len() as u64,
             saved_replays: planned_hits,
         },
         batch_stats,
-        store_hits,
         ..ClassificationResult::default()
     };
     result.static_skipped_races = static_skipped.len() as u64;
@@ -1048,13 +948,11 @@ pub fn merge_classifications(results: &[ClassificationResult]) -> Classification
     let mut cache_stats = CacheStats::default();
     let mut batch_stats = BatchStats::default();
     let mut static_skipped_races = 0;
-    let mut store_hits = 0;
     for result in results {
         vproc_replays += result.vproc_replays;
         cache_stats = cache_stats.merged(result.cache_stats);
         batch_stats.absorb(result.batch_stats);
         static_skipped_races += result.static_skipped_races;
-        store_hits += result.store_hits;
         for (id, race) in &result.races {
             merged
                 .entry(*id)
@@ -1087,7 +985,6 @@ pub fn merge_classifications(results: &[ClassificationResult]) -> Classification
         batch_stats,
         static_skipped_races,
         log_damaged_races,
-        store_hits,
         cache: None,
     }
 }

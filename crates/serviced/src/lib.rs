@@ -12,10 +12,9 @@
 //!   request/response helpers with busy-retry.
 //! * [`proto`] — the wire format: length-prefixed, fasthash-checksummed
 //!   JSON frames, versioned like the v2 log format.
-//! * [`cache`] — the persistent content-addressed replay cache: live-outs
-//!   keyed by program digest, log digest, vproc options, and the exact
-//!   pair key; stored in append-only checksummed segment files that
-//!   tolerate torn writes and compact atomically.
+//! * [`memo`] — the report memo under `--cache-dir`: one checksummed file
+//!   per (program text, log container, classifier configuration) holding
+//!   the finished report, so a resubmission skips the whole pipeline.
 //! * [`container`] — the on-disk log container format (moved here from
 //!   the CLI so the service can decode submissions without it).
 //!
@@ -24,11 +23,11 @@
 //! the deterministic pretty-printer get byte-identical reports — goldens
 //! pin both paths at once.
 
-pub mod cache;
 pub mod client;
 pub mod container;
+pub mod memo;
 pub mod proto;
 pub mod server;
 
-pub use cache::{log_digest, program_digest, CacheKey, PersistentCache, WorkloadStore};
+pub use memo::{MemoKey, ReportMemo};
 pub use server::{Server, ServerConfig};

@@ -142,15 +142,19 @@ pub fn b64_encode(bytes: &[u8]) -> String {
 ///
 /// # Errors
 ///
-/// Fails on characters outside the alphabet or a malformed tail.
+/// Fails unless `text` is canonical padded base64: a length that is a
+/// multiple of 4, alphabet characters only, `=` only as the last one or
+/// two characters, and zero bits in the padding.
 pub fn b64_decode(text: &str) -> Result<Vec<u8>, ProtoError> {
-    let mut out = Vec::with_capacity(text.len() / 4 * 3);
+    let bytes = text.as_bytes();
+    if !bytes.len().is_multiple_of(4) {
+        return perr(format!("base64 length {} is not a multiple of 4", bytes.len()));
+    }
+    let data = bytes.strip_suffix(b"==").or_else(|| bytes.strip_suffix(b"=")).unwrap_or(bytes);
+    let mut out = Vec::with_capacity(data.len() / 4 * 3 + 2);
     let mut acc = 0u32;
     let mut bits = 0u32;
-    for c in text.bytes() {
-        if c == b'=' {
-            break;
-        }
+    for &c in data {
         let v = match c {
             b'A'..=b'Z' => c - b'A',
             b'a'..=b'z' => c - b'a' + 26,
@@ -165,6 +169,9 @@ pub fn b64_decode(text: &str) -> Result<Vec<u8>, ProtoError> {
             bits -= 8;
             out.push((acc >> bits) as u8);
         }
+    }
+    if acc & ((1 << bits) - 1) != 0 {
+        return perr("base64 padding bits are not zero");
     }
     Ok(out)
 }
@@ -207,6 +214,10 @@ mod tests {
             let text = b64_encode(&bytes);
             assert_eq!(b64_decode(&text).unwrap(), bytes, "len {len}");
         }
-        assert!(b64_decode("a b").is_err());
+        // Each is rejected: a space, a dangling 6-bit tail, data after the
+        // padding, and non-zero padding bits.
+        for bad in ["a b", "Q", "QQ==garbage", "QR==", "QQ==QQ==", "Q==="] {
+            assert!(b64_decode(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 }

@@ -14,13 +14,13 @@
 //! classification engine with `jobs = 1`: each worker *is* one engine
 //! lane, so a pool of N workers classifies N submissions concurrently
 //! without oversubscribing, and each worker's single [`Vproc`] reuses its
-//! snapshot arena across every replay of a job. All replay live-outs flow
-//! through the persistent [`PersistentCache`] (when configured), so a
-//! resubmitted workload classifies with zero virtual-processor executions.
+//! snapshot arena across every replay of a job. With a cache directory,
+//! finished reports go into the [`ReportMemo`], so a resubmitted workload
+//! is answered from one file with zero virtual-processor executions.
 //!
 //! Drain (SIGTERM/ctrl-c on unix, or a protocol `shutdown` request) stops
-//! the accept loop, lets the workers finish every queued job, flushes the
-//! cache segments, and returns.
+//! the accept loop, lets the workers finish every queued job, and returns.
+//! Memo entries are durable once written, so there is nothing to flush.
 //!
 //! [`Vproc`]: idna_replay::vproc::Vproc
 
@@ -32,13 +32,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use minijson::Json;
-use replay_race::classify::{classify_races_stored, ClassifierConfig};
+use replay_race::classify::{classify_races_with, ClassifierConfig};
 use replay_race::detect::{detect_races, DetectorConfig};
 use replay_race::report::Report;
 use tvm::asm::assemble;
 
-use crate::cache::{log_digest, program_digest, PersistentCache, WorkloadStore};
 use crate::container::log_from_bytes_mode;
+use crate::memo::{MemoKey, ReportMemo};
 use crate::proto::{b64_decode, read_frame, write_frame, ProtoError};
 use idna_replay::codec::DecodeMode;
 use idna_replay::replayer::replay;
@@ -54,11 +54,9 @@ pub struct ServerConfig {
     /// Bounded queue depth; submissions beyond it are rejected with a
     /// retry hint.
     pub queue_capacity: usize,
-    /// Directory for the persistent replay cache; `None` disables
-    /// persistence (the in-run caches still work).
+    /// Directory for the report memo; `None` classifies every submission
+    /// from scratch.
     pub cache_dir: Option<PathBuf>,
-    /// LRU bound on decoded values held in memory.
-    pub mem_cache_entries: usize,
     /// The classification engine configuration. `jobs` is forced to 1 per
     /// worker — the pool is the parallelism.
     pub classifier: ClassifierConfig,
@@ -71,7 +69,6 @@ impl Default for ServerConfig {
             workers: 2,
             queue_capacity: 64,
             cache_dir: None,
-            mem_cache_entries: 4096,
             classifier: ClassifierConfig::default(),
         }
     }
@@ -92,6 +89,8 @@ struct Counters {
     detect_ns: AtomicU64,
     classify_ns: AtomicU64,
     report_ns: AtomicU64,
+    /// Memo lookups and writes.
+    memo_ns: AtomicU64,
 }
 
 /// One queued submission: the parsed request plus the stream to answer on.
@@ -106,7 +105,7 @@ struct Shared {
     available: Condvar,
     draining: AtomicBool,
     counters: Counters,
-    cache: Option<PersistentCache>,
+    memo: Option<ReportMemo>,
     started: Instant,
 }
 
@@ -164,7 +163,7 @@ mod signals {
 }
 
 impl Server {
-    /// Binds the listener and opens the persistent cache.
+    /// Binds the listener and opens the report memo.
     ///
     /// # Errors
     ///
@@ -176,9 +175,9 @@ impl Server {
         config.classifier.jobs = 1;
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
-        let cache = match &config.cache_dir {
+        let memo = match &config.cache_dir {
             Some(dir) => Some(
-                PersistentCache::open(dir, config.mem_cache_entries)
+                ReportMemo::open(dir)
                     .map_err(|e| format!("cannot open cache at {}: {e}", dir.display()))?,
             ),
             None => None,
@@ -189,7 +188,7 @@ impl Server {
             available: Condvar::new(),
             draining: AtomicBool::new(false),
             counters: Counters::default(),
-            cache,
+            memo,
             started: Instant::now(),
         });
         Ok(Server { listener, shared })
@@ -204,9 +203,8 @@ impl Server {
         self.listener.local_addr().map_err(|e| e.to_string())
     }
 
-    /// Runs the accept loop until drain, then finishes queued jobs,
-    /// flushes the cache, and returns. Installs SIGINT/SIGTERM latches on
-    /// unix.
+    /// Runs the accept loop until drain, then finishes queued jobs and
+    /// returns. Installs SIGINT/SIGTERM latches on unix.
     ///
     /// # Errors
     ///
@@ -247,9 +245,6 @@ impl Server {
             // Drain: wake every worker; each exits once the queue is dry.
             shared.available.notify_all();
         });
-        if let Some(cache) = &shared.cache {
-            cache.flush().map_err(|e| e.to_string())?;
-        }
         Ok(())
     }
 }
@@ -336,17 +331,13 @@ fn worker_loop(shared: &Arc<Shared>) {
                 respond_error(&mut job.stream, &message);
             }
         }
-        if let Some(cache) = &shared.cache {
-            // Durability point per job: a crash later never loses replays
-            // the client already paid for.
-            let _ = cache.flush();
-        }
     }
 }
 
-/// Classifies one submission: assemble, decode, replay, detect, classify
-/// (through the persistent cache), and render the same report JSON value
-/// as one-shot `racerep races --format json`.
+/// Answers one submission: from the memo when it holds this exact
+/// (program, log, configuration), otherwise by assembling, decoding,
+/// replaying, detecting, classifying and rendering the same report JSON
+/// value as one-shot `racerep races --format json`, then memoizing it.
 fn run_submission(shared: &Shared, doc: &Json) -> Result<Json, String> {
     let counters = &shared.counters;
     let source = doc
@@ -357,6 +348,20 @@ fn run_submission(shared: &Shared, doc: &Json) -> Result<Json, String> {
         .get("log")
         .and_then(Json::as_str)
         .ok_or_else(|| String::from("submit needs a \"log\" field (base64 log container)"))?;
+    let classifier = shared.config.classifier;
+
+    let start = Instant::now();
+    let container = b64_decode(log_b64).map_err(|e: ProtoError| e.message)?;
+    counters.decode_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+
+    let start = Instant::now();
+    let memo =
+        shared.memo.as_ref().map(|memo| (memo, MemoKey::new(source, &container, &classifier)));
+    let memoized = memo.as_ref().and_then(|(memo, key)| memo.get(key));
+    counters.memo_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    if let Some(report_json) = memoized {
+        return Ok(result_json(report_json, 0, true));
+    }
 
     let start = Instant::now();
     let program =
@@ -365,7 +370,6 @@ fn run_submission(shared: &Shared, doc: &Json) -> Result<Json, String> {
         return Err("program has no threads".into());
     }
     let program = Arc::new(program);
-    let container = b64_decode(log_b64).map_err(|e: ProtoError| e.message)?;
     let (log, _schedule, _decode) = log_from_bytes_mode(&container, DecodeMode::Strict)?;
     counters.decode_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
@@ -378,35 +382,32 @@ fn run_submission(shared: &Shared, doc: &Json) -> Result<Json, String> {
     counters.detect_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
     let start = Instant::now();
-    let classifier = shared.config.classifier;
-    let store = shared.cache.as_ref().map(|cache| {
-        WorkloadStore::new(
-            cache,
-            program_digest(&program),
-            log_digest(&container),
-            classifier.vproc,
-        )
-    });
-    let classification = classify_races_stored(
-        &trace,
-        &detected,
-        &classifier,
-        None,
-        store.as_ref().map(|s| s as &dyn replay_race::classify::ReplayStore),
-    );
+    let classification = classify_races_with(&trace, &detected, &classifier, None);
     counters.classify_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
     let start = Instant::now();
-    let report = Report::build(&trace, &classification);
-    let report_json = report.to_json_value();
+    let report_json = Report::build(&trace, &classification).to_json_value();
     counters.report_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
-    Ok(Json::obj(vec![
+    if let Some((memo, key)) = &memo {
+        let start = Instant::now();
+        // A failed write is counted by the memo; the client still gets its
+        // report.
+        let _ = memo.put(key, &report_json);
+        counters.memo_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    }
+    Ok(result_json(report_json, classification.vproc_replays, false))
+}
+
+/// A submit's `result` response. `cached` says the report came from the
+/// memo (and so `replays` is 0).
+fn result_json(report: Json, replays: u64, cached: bool) -> Json {
+    Json::obj(vec![
         ("type", Json::str("result")),
-        ("report", report_json),
-        ("replays", Json::from(classification.vproc_replays)),
-        ("store_hits", Json::from(classification.store_hits)),
-    ]))
+        ("report", report),
+        ("replays", Json::from(replays)),
+        ("cached", Json::Bool(cached)),
+    ])
 }
 
 /// The `stats` response document.
@@ -437,25 +438,22 @@ fn stats_json(shared: &Shared) -> Json {
                 ("detect", load(&c.detect_ns)),
                 ("classify", load(&c.classify_ns)),
                 ("report", load(&c.report_ns)),
+                ("memo", load(&c.memo_ns)),
             ]),
         ),
     ];
-    if let Some(cache) = &shared.cache {
-        let s = cache.snapshot();
+    if let Some(memo) = &shared.memo {
+        let s = memo.stats();
         fields.push((
             "cache",
             Json::obj(vec![
                 ("entries", Json::from(s.entries)),
-                ("segments", Json::from(s.segments)),
                 ("disk_bytes", Json::from(s.disk_bytes)),
-                ("mem_entries", Json::from(s.mem_entries)),
-                ("mem_hits", Json::from(s.mem_hits)),
-                ("persisted_hits", Json::from(s.persisted_hits)),
+                ("persisted_hits", Json::from(s.hits)),
                 ("misses", Json::from(s.misses)),
-                ("persisted_writes", Json::from(s.persisted_writes)),
-                ("evictions", Json::from(s.evictions)),
-                ("salvaged_dropped_bytes", Json::from(s.salvaged_dropped_bytes)),
-                ("compactions", Json::from(s.compactions)),
+                ("invalid_entries", Json::from(s.invalid)),
+                ("persisted_writes", Json::from(s.writes)),
+                ("write_errors", Json::from(s.write_errors)),
             ]),
         ));
     }

@@ -1,18 +1,39 @@
-//! Property tests for the persistent replay cache: seeded entries are
-//! written, the segment file is crash-truncated at every byte boundary,
-//! and the reopened cache must salvage exactly the clean prefix — with
-//! every salvaged hit equal to the originally computed value.
+//! Property tests for the service's report memo: a damaged, colliding, or
+//! differently configured entry is never served. Each test runs a real
+//! server over a memo directory and checks that every submit returns the
+//! one-shot report bytes, recomputed whenever the entry on disk can not be
+//! trusted.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use idna_replay::region::RegionId;
-use idna_replay::vproc::{
-    AccessSite, PairLiveOut, PairOrder, ReplayFailure, ThreadLiveOut, VprocConfig,
-};
-use serviced::cache::{CacheKey, PersistentCache, SEGMENT_MAGIC};
-use tvm::exec::AccessKind;
-use tvm::isa::NUM_REGS;
-use tvm::machine::Fault;
+use idna_replay::codec::LogWriter;
+use idna_replay::recorder::record;
+use idna_replay::replayer::replay;
+use minijson::Json;
+use replay_race::classify::{classify_races_with, BatchMode, ClassifierConfig};
+use replay_race::detect::{detect_races, DetectorConfig};
+use replay_race::report::Report;
+use serviced::container::log_to_bytes_with;
+use serviced::{client, MemoKey, ReportMemo, Server, ServerConfig};
+use tvm::asm::assemble;
+use tvm::scheduler::RunConfig;
+
+/// Two workers bump one counter without a lock: a small program whose
+/// report still holds races, so a memo entry stays a few KB.
+const PROGRAM: &str = "\
+.thread worker_a
+  ld r1, [r15+8]
+  addi r1, r1, 1
+  st [r15+8], r1
+  halt
+
+.thread worker_b
+  ld r1, [r15+8]
+  addi r1, r1, 1
+  st [r15+8], r1
+  halt
+";
 
 /// xorshift64* — deterministic, no external crates.
 struct Rng(u64);
@@ -32,75 +53,7 @@ impl Rng {
     }
 }
 
-fn site(rng: &mut Rng) -> AccessSite {
-    AccessSite {
-        region: RegionId { tid: rng.below(4) as usize, index: rng.below(16) as usize },
-        instr_index: rng.below(1000),
-        pc: rng.below(200) as usize,
-        addr: 0x1000 + rng.below(64) * 8,
-        kind: if rng.below(2) == 0 { AccessKind::Read } else { AccessKind::Write },
-    }
-}
-
-fn thread_live_out(rng: &mut Rng) -> ThreadLiveOut {
-    let mut regs = [0u64; NUM_REGS];
-    for r in &mut regs {
-        *r = rng.next();
-    }
-    let fault = match rng.below(9) {
-        0 => Some(Fault::InvalidAccess { addr: rng.next() }),
-        1 => Some(Fault::UseAfterFree { addr: rng.next() }),
-        2 => Some(Fault::DivideByZero),
-        3 => Some(Fault::PcOutOfRange { pc: rng.below(500) as usize }),
-        _ => None,
-    };
-    ThreadLiveOut {
-        tid: rng.below(4) as usize,
-        regs,
-        pc: rng.below(300) as usize,
-        call_stack: (0..rng.below(4)).map(|_| rng.below(100) as usize).collect(),
-        fault,
-        outputs: (0..rng.below(5)).map(|_| rng.next()).collect(),
-        instrs_executed: rng.below(10_000),
-    }
-}
-
-fn outcome(rng: &mut Rng) -> Result<PairLiveOut, ReplayFailure> {
-    match rng.below(8) {
-        0 => Err(ReplayFailure::UnknownLoad { addr: rng.next() }),
-        1 => Err(ReplayFailure::UnrecordedControlFlow {
-            tid: rng.below(4) as usize,
-            pc: rng.below(200) as usize,
-        }),
-        2 => Err(ReplayFailure::BudgetExhausted),
-        3 => Err(ReplayFailure::LogDamage),
-        _ => Ok(PairLiveOut {
-            a: thread_live_out(rng),
-            b: thread_live_out(rng),
-            writes: (0..rng.below(6)).map(|_| (0x2000 + rng.below(32) * 8, rng.next())).collect(),
-            freed: (0..rng.below(3)).map(|_| 0x10_0000 + rng.below(8) * 64).collect(),
-            allocated: (0..rng.below(3)).map(|_| 0x20_0000 + rng.below(8) * 64).collect(),
-        }),
-    }
-}
-
-fn seeded_entries(seed: u64, n: usize) -> Vec<(CacheKey, Result<PairLiveOut, ReplayFailure>)> {
-    let mut rng = Rng(seed | 1);
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    while out.len() < n {
-        let (a, b) = (site(&mut rng), site(&mut rng));
-        let order = if rng.below(2) == 0 { PairOrder::AThenB } else { PairOrder::BThenA };
-        let key = CacheKey::new(rng.below(3), rng.below(3), VprocConfig::default(), &a, &b, order);
-        if !seen.insert(key.0) {
-            continue; // content-addressed: duplicate keys would collapse
-        }
-        out.push((key, outcome(&mut rng)));
-    }
-    out
-}
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
+fn temp_dir(tag: &str) -> PathBuf {
     let dir =
         std::env::temp_dir().join(format!("racerepd-cache-props-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -108,159 +61,229 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn single_segment_bytes(dir: &Path) -> std::path::PathBuf {
-    let mut segments: Vec<_> = std::fs::read_dir(dir)
+/// The program's recorded log container and its one-shot report, rendered
+/// as `racerep races --format json` prints it.
+fn workload() -> (Vec<u8>, String) {
+    let program = Arc::new(assemble(PROGRAM).unwrap());
+    let run = RunConfig::round_robin(1);
+    let recording = record(&program, &run);
+    let container = log_to_bytes_with(&recording.log, &run, &mut LogWriter::new());
+    let trace = replay(&program, &recording.log).unwrap();
+    let detected = detect_races(&trace, &DetectorConfig::default());
+    let config = ClassifierConfig { jobs: 1, ..ClassifierConfig::default() };
+    let classification = classify_races_with(&trace, &detected, &config, None);
+    assert!(!classification.races.is_empty(), "the test program must race");
+    let report = Report::build(&trace, &classification).to_json_value().to_string_pretty();
+    (container, report)
+}
+
+/// A running server over `memo_dir`; drains on drop.
+struct Service {
+    addr: String,
+    handle: Option<std::thread::JoinHandle<Result<(), String>>>,
+}
+
+impl Service {
+    fn boot(memo_dir: &Path, classifier: ClassifierConfig) -> Service {
+        let server = Server::bind(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            cache_dir: Some(memo_dir.to_path_buf()),
+            classifier,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        Service { addr, handle: Some(std::thread::spawn(move || server.run())) }
+    }
+
+    /// Submits and returns `(pretty report, replays, cached)`.
+    fn submit(&self, container: &[u8]) -> (String, u64, bool) {
+        let response = client::submit(&self.addr, PROGRAM, container, 40).unwrap();
+        let report = response.get("report").expect("a report").to_string_pretty();
+        let replays = response.get("replays").and_then(Json::as_u64).unwrap();
+        let cached = response.get("cached").and_then(Json::as_bool).unwrap();
+        (report, replays, cached)
+    }
+
+    fn memo_counter(&self, key: &str) -> u64 {
+        let stats = client::stats(&self.addr).unwrap();
+        stats.get("cache").and_then(|c| c.get(key)).and_then(Json::as_u64).unwrap()
+    }
+}
+
+impl Drop for Service {
+    fn drop(&mut self) {
+        client::shutdown(&self.addr).unwrap();
+        let result = self.handle.take().unwrap().join().unwrap();
+        if !std::thread::panicking() {
+            result.expect("server drains cleanly");
+        }
+    }
+}
+
+/// The single entry file in `dir`.
+fn only_entry(dir: &Path) -> PathBuf {
+    let entries: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "rrc"))
+        .filter(|p| p.extension().is_some_and(|e| e == "rrm"))
         .collect();
-    segments.sort();
-    assert_eq!(segments.len(), 1, "test writes fit one segment");
-    segments.remove(0)
+    assert_eq!(entries.len(), 1, "one workload, one entry: {entries:?}");
+    entries[0].clone()
 }
 
-/// Write N entries, then crash-truncate the segment at *every* byte
-/// boundary: the reopened cache must hold exactly the records whose bytes
-/// fully survive, each hit byte-equal to the original, and must treat
-/// everything after the tear as a miss.
+/// Replaces the entry with `damaged`, submits, and checks the server
+/// refused the entry and recomputed the one-shot report.
+fn assert_recomputed(svc: &Service, path: &Path, damaged: &[u8], container: &[u8], want: &str) {
+    std::fs::write(path, damaged).unwrap();
+    let (got, replays, cached) = svc.submit(container);
+    assert!(!cached && replays > 0, "a damaged entry ({} bytes) was served", damaged.len());
+    assert_eq!(got, want, "recomputed report differs from one-shot");
+}
+
+/// The configuration a server runs with `classifier` (workers run the
+/// engine on one thread each), which is what its memo keys carry.
+fn served(classifier: ClassifierConfig) -> ClassifierConfig {
+    ClassifierConfig { jobs: 1, ..classifier }
+}
+
+/// Cut the entry at every byte boundary: the memo serves no prefix. Each
+/// connection can wait out the acceptor's 25 ms idle poll, so the server
+/// is driven through every header cut and 64 cuts spread over the body;
+/// each of those submits recomputes the one-shot bytes.
 #[test]
-fn crash_truncation_salvages_exact_prefix() {
-    let entries = seeded_entries(0x5eed_cafe, 40);
+fn truncation_at_every_byte_is_never_served() {
+    let (container, want) = workload();
     let dir = temp_dir("truncate");
-    {
-        let cache = PersistentCache::open(&dir, 8).unwrap();
-        for (key, value) in &entries {
-            cache.insert(key.clone(), value).unwrap();
-        }
-        cache.flush().unwrap();
-    }
-    let seg_path = single_segment_bytes(&dir);
-    let full = std::fs::read(&seg_path).unwrap();
+    let svc = Service::boot(&dir, ClassifierConfig::default());
+    let (cold, replays, cached) = svc.submit(&container);
+    assert!(!cached && replays > 0);
+    assert_eq!(cold, want);
+    let path = only_entry(&dir);
+    let intact = std::fs::read(&path).unwrap();
 
-    // Record boundaries: prefix ends after magic, then after each record.
-    let mut boundaries = vec![SEGMENT_MAGIC.len()];
-    let mut at = SEGMENT_MAGIC.len();
-    while at < full.len() {
-        let len = u32::from_le_bytes(full[at..at + 4].try_into().unwrap()) as usize;
-        at += 4 + 8 + len;
-        boundaries.push(at);
+    let memo = ReportMemo::open(&dir).unwrap();
+    let key = MemoKey::new(PROGRAM, &container, &served(ClassifierConfig::default()));
+    assert!(memo.get(&key).is_some(), "the test reads the server's own entry");
+    for cut in 0..intact.len() {
+        std::fs::write(&path, &intact[..cut]).unwrap();
+        assert!(memo.get(&key).is_none(), "a {cut}-byte prefix was served");
     }
-    assert_eq!(at, full.len(), "clean file parses exactly");
-    assert_eq!(boundaries.len(), entries.len() + 1);
 
-    let work = temp_dir("truncate-work");
-    for cut in 0..=full.len() {
-        // How many whole records survive a tear at `cut`?
-        let survivors = boundaries.iter().filter(|&&b| b <= cut).count().saturating_sub(1);
-        let expect: usize = if cut < SEGMENT_MAGIC.len() { 0 } else { survivors };
-        let seg = work.join("cache-000000.rrc");
-        std::fs::write(&seg, &full[..cut]).unwrap();
-        let cache = PersistentCache::open(&work, 4).unwrap();
-        assert_eq!(cache.len(), expect, "cut at byte {cut}");
-        for (i, (key, value)) in entries.iter().enumerate() {
-            let got = cache.lookup(key);
-            if i < expect {
-                assert_eq!(got.as_ref(), Some(value), "entry {i} after cut {cut}");
-            } else {
-                assert_eq!(got, None, "entry {i} must be lost after cut {cut}");
-            }
-        }
+    let stride = (intact.len() / 64).max(1);
+    for cut in (0..32).chain((32..intact.len()).step_by(stride)) {
+        assert_recomputed(&svc, &path, &intact[..cut], &container, &want);
+        assert_eq!(std::fs::read(&path).unwrap(), intact, "the recompute rewrites the entry");
     }
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&work);
-}
-
-/// A reopened cache keeps serving every entry (through the tiny LRU and
-/// from disk), and re-inserting is idempotent on disk.
-#[test]
-fn reopen_roundtrip_and_idempotent_insert() {
-    let entries = seeded_entries(0xd1ce_f00d, 60);
-    let dir = temp_dir("reopen");
-    {
-        let cache = PersistentCache::open(&dir, 4).unwrap();
-        for (key, value) in &entries {
-            cache.insert(key.clone(), value).unwrap();
-        }
-        cache.flush().unwrap();
-    }
-    let cache = PersistentCache::open(&dir, 4).unwrap();
-    assert_eq!(cache.len(), entries.len());
-    for (key, value) in &entries {
-        assert_eq!(cache.lookup(key).as_ref(), Some(value));
-    }
-    let snap = cache.snapshot();
-    assert!(snap.persisted_hits >= (entries.len() as u64 - 4), "LRU holds at most 4");
-    assert_eq!(snap.salvaged_dropped_bytes, 0, "clean file loses nothing");
-    // Idempotent: re-inserting existing keys appends nothing.
-    let bytes_before = cache.snapshot().disk_bytes;
-    for (key, value) in &entries {
-        cache.insert(key.clone(), value).unwrap();
-    }
-    cache.flush().unwrap();
-    assert_eq!(cache.snapshot().disk_bytes, bytes_before);
+    let (warm, replays, cached) = svc.submit(&container);
+    assert!(cached && replays == 0, "the rewritten entry is served");
+    assert_eq!(warm, want);
+    drop(svc);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Compaction rewrites every live entry into one fresh segment without
-/// changing a single lookup result.
-#[test]
-fn compaction_preserves_every_entry() {
-    let entries = seeded_entries(0xabad_1dea, 50);
-    let dir = temp_dir("compact");
-    let cache = PersistentCache::open(&dir, 16).unwrap();
-    for (key, value) in &entries {
-        cache.insert(key.clone(), value).unwrap();
-    }
-    cache.compact().unwrap();
-    assert_eq!(cache.snapshot().segments, 1);
-    assert_eq!(cache.len(), entries.len());
-    for (key, value) in &entries {
-        assert_eq!(cache.lookup(key).as_ref(), Some(value));
-    }
-    // And the compacted file reopens clean.
-    drop(cache);
-    let cache = PersistentCache::open(&dir, 16).unwrap();
-    assert_eq!(cache.len(), entries.len());
-    for (key, value) in &entries {
-        assert_eq!(cache.lookup(key).as_ref(), Some(value));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A bit flip inside a record's payload drops that record and everything
-/// after it (the tolerant-decode discipline), never a wrong value.
+/// 200 seeded single-bit flips anywhere in the entry — header, checksum,
+/// lengths, key material, report — are never served.
 #[test]
 fn bit_flip_never_serves_damaged_values() {
-    let entries = seeded_entries(0xfeed_beef, 20);
+    let (container, want) = workload();
     let dir = temp_dir("bitflip");
-    {
-        let cache = PersistentCache::open(&dir, 8).unwrap();
-        for (key, value) in &entries {
-            cache.insert(key.clone(), value).unwrap();
-        }
-        cache.flush().unwrap();
-    }
-    let seg_path = single_segment_bytes(&dir);
-    let full = std::fs::read(&seg_path).unwrap();
-    let work = temp_dir("bitflip-work");
-    let mut rng = Rng(0x0dd_b17 | 1);
+    let svc = Service::boot(&dir, ClassifierConfig::default());
+    svc.submit(&container);
+    let path = only_entry(&dir);
+    let intact = std::fs::read(&path).unwrap();
+    let mut rng = Rng(0xb17f_11b5);
     for _ in 0..200 {
-        let pos =
-            SEGMENT_MAGIC.len() + rng.below((full.len() - SEGMENT_MAGIC.len()) as u64) as usize;
-        let mut damaged = full.clone();
-        damaged[pos] ^= 1 << rng.below(8);
-        std::fs::write(work.join("cache-000000.rrc"), &damaged).unwrap();
-        let cache = PersistentCache::open(&work, 8).unwrap();
-        // Every salvaged answer must exactly match its original value.
-        let mut salvaged = 0;
-        for (key, value) in &entries {
-            if let Some(got) = cache.lookup(key) {
-                assert_eq!(&got, value);
-                salvaged += 1;
-            }
-        }
-        assert!(salvaged < entries.len(), "a flipped bit must cost at least its record");
+        let mut damaged = intact.clone();
+        let at = rng.below(damaged.len() as u64) as usize;
+        damaged[at] ^= 1 << rng.below(8);
+        assert_recomputed(&svc, &path, &damaged, &container, &want);
     }
+    assert_eq!(svc.memo_counter("invalid_entries"), 200);
+    drop(svc);
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&work);
+}
+
+/// A container whose key digest collides with a stored entry's (`x` and
+/// `x ‖ [0]`) but whose bytes differ is a miss, not the other's report.
+#[test]
+fn colliding_digest_with_different_bytes_is_a_miss() {
+    let (container, want) = workload();
+    let config = served(ClassifierConfig::default());
+    // The digest pads a short tail with zeros, so appending a zero byte
+    // collides whenever the key material does not end on an 8-byte word.
+    let mut x = container.clone();
+    while MemoKey::new(PROGRAM, &x, &config).file_name()
+        != MemoKey::new(PROGRAM, &[x.as_slice(), &[0]].concat(), &config).file_name()
+    {
+        x.push(0);
+    }
+    let x0 = [x.as_slice(), &[0]].concat();
+    assert_ne!(MemoKey::new(PROGRAM, &x, &config), MemoKey::new(PROGRAM, &x0, &config));
+
+    let dir = temp_dir("collide");
+    let memo = ReportMemo::open(&dir).unwrap();
+    memo.put(&MemoKey::new(PROGRAM, &x, &config), &Json::parse(&want).unwrap()).unwrap();
+    assert!(memo.get(&MemoKey::new(PROGRAM, &x0, &config)).is_none());
+    assert!(memo.get(&MemoKey::new(PROGRAM, &x, &config)).is_some());
+    let stats = memo.stats();
+    assert_eq!((stats.hits, stats.misses, stats.invalid), (1, 1, 1));
+
+    // Through the server: the planted entry for `x` is refused for `x0`,
+    // and the trailing zeros don't change what the log decodes to.
+    let svc = Service::boot(&dir, config);
+    let (got, replays, cached) = svc.submit(&x0);
+    assert!(!cached && replays > 0, "a colliding entry was served");
+    assert_eq!(got, want);
+    assert_eq!(svc.memo_counter("invalid_entries"), 1);
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The classifier configuration is part of the key: a server restarted
+/// with `--batch off` recomputes the same log, then serves its own entry.
+#[test]
+fn restart_with_other_classifier_flags_misses() {
+    let (container, want) = workload();
+    let dir = temp_dir("config");
+    let svc = Service::boot(&dir, ClassifierConfig::default());
+    svc.submit(&container);
+    drop(svc);
+
+    let unbatched = ClassifierConfig { batching: BatchMode::Off, ..ClassifierConfig::default() };
+    let svc = Service::boot(&dir, unbatched);
+    let (got, replays, cached) = svc.submit(&container);
+    assert!(!cached && replays > 0, "an entry made under other flags was served");
+    assert_eq!(got, want);
+    let (got, replays, cached) = svc.submit(&container);
+    assert!(cached && replays == 0);
+    assert_eq!(got, want);
+    assert_eq!(svc.memo_counter("persisted_hits"), 1);
+    assert_eq!(svc.memo_counter("entries"), 2, "one entry per configuration");
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Entries survive a reopen, storing the same key twice keeps one entry,
+/// and temporary files a crashed writer left behind are swept on open.
+#[test]
+fn reopen_roundtrip_and_idempotent_insert() {
+    let (container, want) = workload();
+    let report = Json::parse(&want).unwrap();
+    let key = MemoKey::new(PROGRAM, &container, &served(ClassifierConfig::default()));
+    let dir = temp_dir("reopen");
+    {
+        let memo = ReportMemo::open(&dir).unwrap();
+        memo.put(&key, &report).unwrap();
+        memo.put(&key, &report).unwrap();
+        assert_eq!(memo.stats().entries, 1);
+        assert_eq!(memo.stats().writes, 2);
+    }
+    let stale = dir.join(format!("{}.1.0.tmp", key.file_name()));
+    std::fs::write(&stale, b"torn").unwrap();
+    let memo = ReportMemo::open(&dir).unwrap();
+    assert!(!stale.exists(), "open sweeps leftover temporary files");
+    assert_eq!(memo.get(&key).expect("a hit after reopen").to_string_pretty(), want);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,8 +2,8 @@
 //! on an ephemeral port, submits workloads from four concurrent client
 //! threads, and checks every response is byte-identical to the one-shot
 //! `racerep races --format json` report. A second server generation over
-//! the same cache directory then proves warm submissions classify with
-//! zero virtual-processor replays, served from the persistent cache.
+//! the same cache directory then proves warm submissions are answered
+//! from the on-disk report memo with zero virtual-processor replays.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -104,7 +104,7 @@ fn service_matches_one_shot_and_serves_warm_resubmits_from_cache() {
     handle.join().unwrap().expect("server drains cleanly");
 
     // Generation 2 (warm): a fresh process-equivalent over the same cache
-    // directory. Every replay outcome must come from disk: zero vproc
+    // directory. Every report must come from the memo on disk: zero vproc
     // replays, byte-identical reports.
     let (addr, handle) = boot(&cache_dir);
     for w in workloads.iter() {
