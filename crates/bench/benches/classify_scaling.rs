@@ -1,13 +1,13 @@
 //! Scaling study of the classification engine: classify wall-time at 1→N
-//! worker threads and per-cache-mode hit rates on the browser workload,
-//! with a built-in check that every configuration produces the same
-//! classification (the engine's determinism contract).
+//! worker threads, with shared-prefix batching off and on, on the browser
+//! workload, with a built-in check that every configuration produces the
+//! same classification (the engine's determinism contract).
 
 use bench::timing::measure;
 
 use idna_replay::recorder::record;
 use idna_replay::replayer::replay;
-use replay_race::classify::{classify_races, CacheMode, ClassifierConfig};
+use replay_race::classify::{classify_races_with, BatchMode, ClassifierConfig};
 use replay_race::detect::{detect_races, DetectorConfig};
 use tvm::scheduler::RunConfig;
 use workloads::browser::{browser_program, BrowserConfig};
@@ -25,41 +25,35 @@ fn main() {
         detected.unique_races()
     );
 
-    let classify = |jobs: usize, cache: CacheMode| {
-        let config = ClassifierConfig { jobs, cache, ..ClassifierConfig::default() };
-        classify_races(&trace, &detected, &config)
+    let classify = |jobs: usize, batching: BatchMode| {
+        let config = ClassifierConfig { jobs, batching, ..ClassifierConfig::default() };
+        classify_races_with(&trace, &detected, &config, None)
     };
 
-    let baseline_result = classify(1, CacheMode::Off);
-    let baseline = measure(2, 12, || classify(1, CacheMode::Off));
+    let baseline_result = classify(1, BatchMode::Off);
+    let baseline = measure(2, 12, || classify(1, BatchMode::Off));
 
     let mut job_counts = vec![1usize, 2, 4];
     if !job_counts.contains(&available) {
         job_counts.push(available);
     }
-    for cache in [CacheMode::Off, CacheMode::Exact, CacheMode::Coarse] {
+    for batching in [BatchMode::Off, BatchMode::Shared] {
         for &jobs in &job_counts {
-            let result = classify(jobs, cache);
-            let m = measure(2, 12, || classify(jobs, cache));
+            let result = classify(jobs, batching);
+            let m = measure(2, 12, || classify(jobs, batching));
             let speedup = baseline.seconds() / m.seconds();
-            let stats = result.cache_stats;
+            let stats = result.batch_stats;
             println!(
-                "classify/{cache:?}/jobs={jobs:<2} median {:>10?}  speedup {speedup:>5.2}x  \
-                 replays {:>6}  cache {:>5} hits / {:>6} misses ({:>5.1}% hit rate)",
-                m.median,
-                result.vproc_replays,
-                stats.hits,
-                stats.misses,
-                stats.hit_rate() * 100.0,
+                "classify/{batching:?}/jobs={jobs:<2} median {:>10?}  speedup {speedup:>5.2}x  \
+                 replays {:>6}  {:>5} batches, {:>6} prefix executions",
+                m.median, result.vproc_replays, stats.batches, stats.prefix_executions,
             );
-            // Determinism contract: job count never changes the result, and
-            // the exact cache is transparent.
-            if cache != CacheMode::Coarse {
-                assert_eq!(
-                    result.races, baseline_result.races,
-                    "classification must be identical at jobs={jobs}, cache={cache:?}"
-                );
-            }
+            // Determinism contract: neither the job count nor batching
+            // changes the result.
+            assert_eq!(
+                result.races, baseline_result.races,
+                "classification must be identical at jobs={jobs}, batching={batching:?}"
+            );
         }
     }
 }

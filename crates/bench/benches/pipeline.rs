@@ -6,7 +6,7 @@ use bench::timing::{measure, report};
 
 use idna_replay::recorder::record;
 use idna_replay::replayer::replay;
-use replay_race::classify::{classify_races, ClassifierConfig};
+use replay_race::classify::{classify_races_with, ClassifierConfig};
 use replay_race::detect::{detect_races, DetectorConfig};
 use tvm::scheduler::{run, RunConfig};
 use tvm::Machine;
@@ -38,6 +38,8 @@ fn main() {
     let m = measure(2, 20, || detect_races(&trace, &DetectorConfig::default()));
     report("pipeline", "detect", &m, Some(instructions));
 
-    let m = measure(2, 20, || classify_races(&trace, &detected, &ClassifierConfig::default()));
+    let m = measure(2, 20, || {
+        classify_races_with(&trace, &detected, &ClassifierConfig::default(), None)
+    });
     report("pipeline", "classify", &m, Some(instructions));
 }

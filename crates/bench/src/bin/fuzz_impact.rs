@@ -21,8 +21,7 @@ use bench::genprog;
 use idna_replay::recorder::record;
 use idna_replay::replayer::replay;
 use replay_race::classify::{
-    classify_races, classify_races_with, predictions_by_id, ClassifierConfig, OutcomeGroup,
-    TrustStatic,
+    classify_races_with, predictions_by_id, ClassifierConfig, OutcomeGroup, TrustStatic,
 };
 use replay_race::detect::{detect_races, DetectorConfig};
 use tvm::rng::SplitMix64;
@@ -67,7 +66,8 @@ fn main() {
                 }
             };
             let detected = detect_races(&trace, &DetectorConfig::default());
-            let baseline = classify_races(&trace, &detected, &ClassifierConfig::default());
+            let baseline =
+                classify_races_with(&trace, &detected, &ClassifierConfig::default(), None);
 
             // An Unreachable proof the replay refutes is a soundness bug.
             for (id, race) in &baseline.races {

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use bench::{row, PAPER_OVERHEADS};
 use minijson::Json;
 use replay_race::classify::{
-    classify_races, predictions_by_id, BatchMode, ClassifierConfig, TrustStatic,
+    classify_races_with, predictions_by_id, BatchMode, ClassifierConfig, TrustStatic,
 };
 use replay_race::pipeline::{run_pipeline, PipelineConfig, PipelineResult};
 use tvm::machine::Machine;
@@ -223,7 +223,7 @@ fn main() {
         let mut classification = None;
         for _ in 0..reps {
             let start = Instant::now();
-            let c = classify_races(&result.trace, &result.detected, &config);
+            let c = classify_races_with(&result.trace, &result.detected, &config, None);
             best = best.min(start.elapsed());
             classification = Some(c);
         }

@@ -8,10 +8,9 @@
 //! racerep record    prog.tasm -o run.idna [--schedule S]
 //! racerep replay    prog.tasm run.idna
 //! racerep races     prog.tasm run.idna [--format text|json] [--permissive]
-//!                   [--triage-db db.json] [--jobs N] [--cache off|exact|coarse]
-//!                   [--batch off|shared] [--replay-stats]
-//!                   [--trust-static MODE] [--tolerant]
-//! racerep classify  prog.tasm [--schedule S] [--format text|json] [--jobs N] [--cache MODE]
+//!                   [--triage-db db.json] [--jobs N] [--batch off|shared]
+//!                   [--replay-stats] [--trust-static MODE] [--tolerant]
+//! racerep classify  prog.tasm [--schedule S] [--format text|json] [--jobs N]
 //!                   [--batch off|shared] [--trust-static MODE]
 //! racerep lint      prog.tasm [--format text|json] [--fail-on none|harmful|warnings]
 //! racerep triage    db.json <benign|harmful> <pc_lo> <pc_hi> [note...]
@@ -19,7 +18,7 @@
 //! racerep doctor    run.idna
 //! racerep disasm    prog.tasm
 //! racerep serve     [--addr HOST:PORT] [--workers N] [--queue N] [--cache-dir DIR]
-//!                   [--cache MODE] [--batch off|shared] [--permissive]
+//!                   [--batch off|shared] [--permissive] [--trust-static MODE]
 //! racerep submit    prog.tasm run.idna [--addr HOST:PORT] [--format text|json]
 //!                   [--fail-on none|harmful|warnings]
 //! racerep svc-stats    [--addr HOST:PORT] [--format text|json]
@@ -41,16 +40,15 @@
 //! `unreachable`) — a race with no witness cannot corrupt anything.
 //!
 //! `--jobs N` sets the classifier's worker-thread count (0 or omitted =
-//! available parallelism, 1 = single-threaded); `--cache` picks the replay
-//! memoization mode; `--batch` toggles shared-prefix batched replay
-//! (`shared`, the default, executes each racing region pair's common
-//! oracle prefix once and forks per pair). None of the three changes the
-//! classification, only its cost. `--replay-stats` on `races` appends the
-//! replay-engine counters — cache hit/miss and the batch/fork/prefix
-//! figures — to the text report, or as a `replay_stats` object in
-//! `--format json`.
+//! available parallelism, 1 = single-threaded); `--batch` toggles
+//! shared-prefix batched replay (`shared`, the default, executes each
+//! racing region pair's common oracle prefix once and forks per pair).
+//! Neither changes the classification, only its cost. `--replay-stats` on
+//! `races` appends the replay-engine counters — vproc replays and the
+//! batch/fork/prefix figures — to the text report, or as a `replay_stats`
+//! object in `--format json`.
 //!
-//! `--trust-static MODE` (ablation) lets `races` and `classify` skip
+//! `--trust-static MODE` (ablation) lets `races`, `classify` and `serve` skip
 //! dual-order replays on static authority, recording the skipped races as
 //! No-State-Change without running them. `skip-benign` trusts the idiom
 //! pass's high-confidence benign predictions; `skip-unreachable` trusts
@@ -68,8 +66,8 @@
 //! `serve` runs the racerepd classification service (DESIGN.md D14): a
 //! long-lived server with a bounded job queue, a worker pool, and, under
 //! `--cache-dir`, a report memo that keeps each finished report keyed by
-//! the exact program text, log bytes and classifier flags (`--cache`,
-//! `--batch`, `--permissive`, ... given to `serve`). A resubmitted workload
+//! the exact program text, log bytes and classifier flags (`--batch`,
+//! `--permissive`, `--trust-static` given to `serve`). A resubmitted workload
 //! is answered from the memo without replaying anything.
 //! `submit` classifies a recorded workload through it — the JSON output
 //! is byte-identical to one-shot `races --format json`, and `--fail-on
@@ -96,8 +94,7 @@ use idna_replay::recorder::record;
 use idna_replay::replayer::replay;
 use idna_replay::vproc::VprocConfig;
 use replay_race::classify::{
-    predictions_by_id, BatchMode, CacheMode, ClassificationResult, ClassifierConfig, TrustStatic,
-    Verdict,
+    static_predictions, BatchMode, ClassificationResult, ClassifierConfig, TrustStatic, Verdict,
 };
 use replay_race::pipeline::{damage_profile, run_pipeline, PipelineConfig};
 use replay_race::triage::{ManualVerdict, TriageDb};
@@ -352,20 +349,15 @@ pub fn cmd_replay(path: &Path, log_path: &Path) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Renders the replay-engine counters — vproc replays, cache, batching —
-/// as report-trailer text (for `races --replay-stats` and the `classify`
+/// Renders the replay-engine counters — vproc replays, batching — as
+/// report-trailer text (for `races --replay-stats` and the `classify`
 /// stats block).
 fn replay_stats_text(classification: &ClassificationResult) -> String {
-    let cache = classification.cache_stats_now();
     let batching = classification.batch_stats;
     format!(
-        "{} vproc replays, cache: {} hits / {} misses ({:.0}% hit rate), {} replays saved\n\
+        "{} vproc replays\n\
          batching: {} batch(es), {} forked resume(s), {} prefix instrs saved, {} live-in index hits\n",
         classification.vproc_replays,
-        cache.hits,
-        cache.misses,
-        cache.hit_rate() * 100.0,
-        cache.saved_replays,
         batching.batches,
         batching.forks,
         batching.prefix_instrs_saved,
@@ -376,18 +368,9 @@ fn replay_stats_text(classification: &ClassificationResult) -> String {
 /// The same counters as a JSON value (the `replay_stats` object of
 /// `races --replay-stats --format json`).
 fn replay_stats_json(classification: &ClassificationResult) -> Json {
-    let cache = classification.cache_stats_now();
     let batching = classification.batch_stats;
     Json::obj(vec![
         ("vproc_replays", Json::from(classification.vproc_replays)),
-        (
-            "cache",
-            Json::obj(vec![
-                ("hits", Json::from(cache.hits)),
-                ("misses", Json::from(cache.misses)),
-                ("saved_replays", Json::from(cache.saved_replays)),
-            ]),
-        ),
         (
             "batching",
             Json::obj(vec![
@@ -445,8 +428,7 @@ pub fn cmd_races(
     }
     let detected =
         replay_race::detect::detect_races(&trace, &replay_race::detect::DetectorConfig::default());
-    let predictions = (classifier.trust_static != TrustStatic::Off)
-        .then(|| predictions_by_id(&racecheck::analyze(&program)));
+    let predictions = static_predictions(&program, classifier.trust_static);
     let classification = replay_race::classify::classify_races_with(
         &trace,
         &detected,
@@ -528,11 +510,11 @@ pub fn cmd_classify(
     replay_stats: bool,
 ) -> Result<String, CliError> {
     let program = load_program(path)?;
-    let mut config = PipelineConfig { classifier: *classifier, ..PipelineConfig::new(schedule) };
-    if classifier.trust_static != TrustStatic::Off {
-        config.static_predictions =
-            Some(Arc::new(predictions_by_id(&racecheck::analyze(&program))));
-    }
+    let config = PipelineConfig {
+        classifier: *classifier,
+        static_predictions: static_predictions(&program, classifier.trust_static).map(Arc::new),
+        ..PipelineConfig::new(schedule)
+    };
     let result =
         run_pipeline(&program, &config).map_err(|e| CliError { message: e.to_string() })?;
     Ok(if json {
@@ -925,7 +907,6 @@ pub fn dispatch_with_status(args: &[String]) -> Result<(String, i32), CliError> 
     let mut triage_db: Option<String> = None;
     let mut max_steps: Option<u64> = None;
     let mut jobs: usize = 0;
-    let mut cache = CacheMode::default();
     let mut batching = BatchMode::default();
     let mut replay_stats = false;
     let mut trust_static = TrustStatic::default();
@@ -985,13 +966,6 @@ pub fn dispatch_with_status(args: &[String]) -> Result<(String, i32), CliError> 
                     .get(i)
                     .ok_or_else(|| CliError { message: "--jobs needs a count".into() })?;
                 jobs = v.parse().map_err(|_| CliError { message: format!("bad --jobs {v:?}") })?;
-            }
-            "--cache" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or_else(|| CliError { message: "--cache needs a mode".into() })?;
-                cache = CacheMode::parse(v).map_err(|message| CliError { message })?;
             }
             "--batch" => {
                 i += 1;
@@ -1065,14 +1039,8 @@ pub fn dispatch_with_status(args: &[String]) -> Result<(String, i32), CliError> 
         schedule = schedule.with_max_steps(ms);
     }
     let vproc = if permissive { VprocConfig::permissive() } else { VprocConfig::default() };
-    let classifier = ClassifierConfig {
-        vproc,
-        jobs,
-        cache,
-        batching,
-        trust_static,
-        ..ClassifierConfig::default()
-    };
+    let classifier =
+        ClassifierConfig { vproc, jobs, batching, trust_static, ..ClassifierConfig::default() };
 
     let usage = "usage: racerep <run|record|replay|races|classify|lint|triage|loginfo|doctor|disasm|serve|submit|svc-stats|svc-shutdown> ...";
     let Some((&cmd, rest)) = positional.split_first() else {
@@ -1267,7 +1235,7 @@ mod tests {
         // Text: the counters follow the report.
         let text =
             cmd_races(&prog, &log, false, &ClassifierConfig::default(), None, false, true).unwrap();
-        assert!(text.contains("vproc replays, cache:"), "{text}");
+        assert!(text.contains("vproc replays\n"), "{text}");
         assert!(text.contains("batching:"), "{text}");
         assert!(text.contains("live-in index hits"), "{text}");
         // JSON: a replay_stats sibling of races, with the batching object.
@@ -1276,7 +1244,7 @@ mod tests {
         let doc = Json::parse(&json).unwrap();
         let stats = doc.field("replay_stats").unwrap();
         assert!(stats.field("vproc_replays").unwrap().as_u64().is_some());
-        assert!(stats.field("cache").unwrap().field("hits").unwrap().as_u64().is_some());
+        assert!(stats.field("cache").is_err(), "no replay memo, no cache block");
         let batching = stats.field("batching").unwrap();
         for key in
             ["batches", "forks", "prefix_executions", "prefix_instrs_saved", "live_in_index_hits"]

@@ -22,11 +22,12 @@
 //! view of the trace. The engine therefore
 //!
 //! 1. **plans** the replays sequentially (a deterministic walk over
-//!    `detected.by_static` that also resolves cache reuse),
-//! 2. **executes** the planned replays on [`ClassifierConfig::jobs`] worker
-//!    threads pulling from a shared cursor — grouped by `(region_a,
-//!    region_b, order)` under [`BatchMode::Shared`] so each group runs its
-//!    common oracle prefix once ([`Vproc::run_batch`]) — and
+//!    `detected.by_static`: two replays per analyzed instance),
+//! 2. **executes** the planned replays on [`ClassifierConfig::jobs`] workers
+//!    pulling work units from a shared cursor — one `(region_a, region_b,
+//!    order)` group under [`BatchMode::Shared`], which runs its common
+//!    oracle prefix once ([`Vproc::run_batch`]), or one replay under
+//!    [`BatchMode::Off`] — and
 //! 3. **assembles** the per-race outcomes sequentially, in the same order
 //!    the single-threaded classifier used.
 //!
@@ -34,15 +35,13 @@
 //! planning, the result is bit-for-bit identical at any job count, batched
 //! or not.
 //!
-//! The plan step also consults a [`ReplayCache`]: replays whose canonical
-//! key was already planned reuse the earlier live-outs instead of running
-//! again. The populated cache is handed to `Report::build` through
-//! [`ClassificationResult::cache`], so the report's difference rendering
-//! reuses classification replays instead of re-running them.
+//! Assembly keeps the two live-outs compared for each race's first
+//! exposing State-Change instance ([`ClassifiedRace::exposing_live_outs`]),
+//! so `Report::build` renders the difference without replaying anything.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use tvm::fasthash::FastHashMap;
 
@@ -145,6 +144,10 @@ pub struct ClassifiedRace {
     /// order. The first harmful-signal instance, if any, is the reproducible
     /// scenario quoted in reports.
     pub instances: Vec<ClassifiedInstance>,
+    /// The a-then-b and b-then-a live-outs the classifier compared for the
+    /// first exposing instance, when that instance is State-Change: what
+    /// the report renders the difference from. `None` otherwise.
+    pub exposing_live_outs: Option<Box<(PairLiveOut, PairLiveOut)>>,
 }
 
 impl ClassifiedRace {
@@ -153,44 +156,6 @@ impl ClassifiedRace {
     #[must_use]
     pub fn first_exposing_instance(&self) -> Option<&ClassifiedInstance> {
         self.instances.iter().find(|i| i.outcome.is_harmful_signal())
-    }
-}
-
-/// Granularity of the replay cache.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum CacheMode {
-    /// No memoization; every replay runs.
-    Off,
-    /// Key on the exact replay identity: both [`AccessSite`]s (region,
-    /// racing instruction index, pc, address, kind) plus the order. Reuse is
-    /// sound — an identical key means an identical replay — so results are
-    /// byte-for-byte those of `Off`. Within one classification the keys are
-    /// unique; the payoff is the report phase, which re-renders each harmful
-    /// race's difference from cached live-outs instead of replaying again.
-    #[default]
-    Exact,
-    /// Key on the canonicalized (region pair, pc pair, address, access
-    /// kinds, order), dropping the dynamic instruction indices: repeated
-    /// instances of the same static race on the same region pair reuse the
-    /// first instance's live-outs. An approximation — instances at different
-    /// loop iterations can genuinely differ — offered for the ablation
-    /// study, not the default.
-    Coarse,
-}
-
-impl CacheMode {
-    /// Parses a CLI-style mode name.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the unrecognized input.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "off" => Ok(CacheMode::Off),
-            "exact" => Ok(CacheMode::Exact),
-            "coarse" => Ok(CacheMode::Coarse),
-            other => Err(format!("cache mode must be off, exact, or coarse, got {other:?}")),
-        }
     }
 }
 
@@ -308,184 +273,13 @@ impl StaticPrediction {
     }
 }
 
-/// Replay-cache counters. `saved_replays` is the number of virtual-processor
-/// replays that were *not* run because a cached live-out was reused; with
-/// the cache off all three stay zero.
+/// Compatibility counters kept for the repository benchmark, which reads
+/// `hits` as `classify.planned_hits`. The classifier keeps no replay memo,
+/// so `hits` is always 0; the struct goes with the next change to the
+/// benchmark.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,
-    pub misses: u64,
-    pub saved_replays: u64,
-}
-
-impl CacheStats {
-    /// Hit fraction over all lookups, or 0 when the cache saw none.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Sums two counters (used when merging classifications).
-    #[must_use]
-    pub fn merged(self, other: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            saved_replays: self.saved_replays + other.saved_replays,
-        }
-    }
-}
-
-/// Cache key: the canonical identity of one dual-region replay. The `(a,
-/// b)` sides are kept as given — [`Vproc::run_pair`] is not symmetric under
-/// swapping them (its completion phase services `a`'s thread first), so
-/// swap-canonicalizing could alias replays with different results.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-struct ReplayKey {
-    a: AccessSite,
-    b: AccessSite,
-    order: PairOrder,
-}
-
-/// Memoization table for dual-order replays, shared between classification
-/// and report rendering.
-///
-/// Canonical [`ReplayKey`]s (two full [`AccessSite`]s plus an order) are
-/// interned into dense `u32` *pair ids* on first sight; the live-out map —
-/// and the planner's job-reuse map — hash those integers instead of the
-/// full site structs. Interning order is the planner's sequential walk, so
-/// the ids are deterministic.
-#[derive(Debug)]
-pub struct ReplayCache {
-    mode: CacheMode,
-    vproc: VprocConfig,
-    /// Canonical key → dense pair id, in first-interned order.
-    ids: Mutex<FastHashMap<ReplayKey, u32>>,
-    map: Mutex<FastHashMap<u32, Result<PairLiveOut, ReplayFailure>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    saved: AtomicU64,
-}
-
-impl ReplayCache {
-    /// Creates an empty cache for the given granularity and replay options.
-    #[must_use]
-    pub fn new(mode: CacheMode, vproc: VprocConfig) -> Self {
-        ReplayCache {
-            mode,
-            vproc,
-            ids: Mutex::new(FastHashMap::default()),
-            map: Mutex::new(FastHashMap::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            saved: AtomicU64::new(0),
-        }
-    }
-
-    /// The granularity this cache memoizes at.
-    #[must_use]
-    pub fn mode(&self) -> CacheMode {
-        self.mode
-    }
-
-    /// The virtual-processor options the cached replays ran under. Consumers
-    /// replaying *around* the cache (the report) must use the same options,
-    /// or cached and fresh live-outs would disagree.
-    #[must_use]
-    pub fn vproc_config(&self) -> VprocConfig {
-        self.vproc
-    }
-
-    /// Cumulative counters: planning reuse plus any report-phase lookups.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            saved_replays: self.saved.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The cache key for a replay, or `None` when caching is off.
-    fn key(&self, a: &AccessSite, b: &AccessSite, order: PairOrder) -> Option<ReplayKey> {
-        match self.mode {
-            CacheMode::Off => None,
-            CacheMode::Exact => Some(ReplayKey { a: *a, b: *b, order }),
-            CacheMode::Coarse => {
-                // Same region pair + static race + address + kinds: drop the
-                // dynamic instruction indices so loop iterations alias.
-                let coarse = |s: &AccessSite| AccessSite { instr_index: 0, ..*s };
-                Some(ReplayKey { a: coarse(a), b: coarse(b), order })
-            }
-        }
-    }
-
-    /// Interns a replay's canonical key into its dense pair id, or `None`
-    /// when caching is off. Hashes the full key once; every later map
-    /// operation on this replay hashes only the `u32`.
-    fn pair_id(&self, a: &AccessSite, b: &AccessSite, order: PairOrder) -> Option<u32> {
-        let key = self.key(a, b, order)?;
-        let mut ids = self.ids.lock().unwrap();
-        let next = u32::try_from(ids.len()).expect("fewer than 2^32 distinct replays");
-        Some(*ids.entry(key).or_insert(next))
-    }
-
-    /// Replays through the cache: returns the memoized live-out when the
-    /// key is present, otherwise runs the replay and memoizes it. Used by
-    /// the report phase; the classifier plans its reuse up front instead.
-    pub fn replay(
-        &self,
-        vproc: &Vproc<'_>,
-        a: &AccessSite,
-        b: &AccessSite,
-        order: PairOrder,
-    ) -> Result<PairLiveOut, ReplayFailure> {
-        let Some(id) = self.pair_id(a, b, order) else {
-            return vproc.run_pair(a, b, order);
-        };
-        if let Some(found) = self.map.lock().unwrap().get(&id) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.saved.fetch_add(1, Ordering::Relaxed);
-            return found.clone();
-        }
-        let out = vproc.run_pair(a, b, order);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.map.lock().unwrap().insert(id, out.clone());
-        out
-    }
-
-    /// Stores the executed plan results the report will look up again (the
-    /// `retain` job indices — each race's first exposing instance) and folds
-    /// the plan's deterministic counters into the cache. Keeping only the
-    /// report-relevant live-outs keeps the memoization overhead negligible:
-    /// cloning every live-out into the map measurably slowed exact mode
-    /// down without ever being read back.
-    fn absorb_plan(
-        &self,
-        jobs: &[ReplayJob],
-        outcomes: &[Result<PairLiveOut, ReplayFailure>],
-        planned_hits: u64,
-        retain: &std::collections::HashSet<usize>,
-    ) {
-        if self.mode != CacheMode::Off {
-            for &i in retain {
-                let job = &jobs[i];
-                if let Some(id) = self.pair_id(&job.a, &job.b, job.order) {
-                    self.map.lock().unwrap().insert(id, outcomes[i].clone());
-                }
-            }
-        }
-        self.hits.fetch_add(planned_hits, Ordering::Relaxed);
-        self.saved.fetch_add(planned_hits, Ordering::Relaxed);
-        self.misses.fetch_add(jobs.len() as u64, Ordering::Relaxed);
-    }
 }
 
 /// Classifier options.
@@ -502,8 +296,6 @@ pub struct ClassifierConfig {
     /// calling thread, exactly as the original single-threaded classifier
     /// did. Results are identical at every setting.
     pub jobs: usize,
-    /// Replay memoization granularity (default [`CacheMode::Exact`]).
-    pub cache: CacheMode,
     /// Which static predictions may skip replay: high-confidence benign
     /// idioms, proven-unreachable impact verdicts, both, or neither
     /// (default [`TrustStatic::Off`]; see the type's ablation caveat).
@@ -531,7 +323,6 @@ impl Default for ClassifierConfig {
             vproc: VprocConfig::default(),
             max_instances_per_race: 2_000,
             jobs: 0,
-            cache: CacheMode::default(),
             trust_static: TrustStatic::default(),
             batching: BatchMode::default(),
         }
@@ -543,11 +334,10 @@ impl Default for ClassifierConfig {
 pub struct ClassificationResult {
     /// Classified races, keyed by static identity.
     pub races: BTreeMap<StaticRaceId, ClassifiedRace>,
-    /// Virtual-processor replays actually executed. Without a cache this is
-    /// two per analyzed instance; with one, planned reuse lowers it — a
+    /// Virtual-processor replays executed: two per analyzed instance — a
     /// cost metric for the overhead experiment.
     pub vproc_replays: u64,
-    /// Replay-cache counters for the classification phase.
+    /// Always zero; kept only for the benchmark (see [`CacheStats`]).
     pub cache_stats: CacheStats,
     /// Shared-prefix batch-engine counters: batches formed, pairs forked
     /// from checkpoints, oracle instructions saved, live-in index hits.
@@ -566,10 +356,6 @@ pub struct ClassificationResult {
     /// because the evidence was damaged" from "harmful on clean
     /// evidence". Always 0 for strict (clean) decodes.
     pub log_damaged_races: u64,
-    /// The populated replay cache, for downstream phases (the report) to
-    /// reuse live-outs from. `None` when caching was off or after merging
-    /// across traces (a cache is only meaningful for its own trace).
-    pub cache: Option<Arc<ReplayCache>>,
 }
 
 impl ClassificationResult {
@@ -594,14 +380,6 @@ impl ClassificationResult {
         }
         (nsc, sc, rf)
     }
-
-    /// Cache counters including any lookups made after classification
-    /// (i.e. by the report phase); falls back to the classification-phase
-    /// snapshot when no cache handle is attached.
-    #[must_use]
-    pub fn cache_stats_now(&self) -> CacheStats {
-        self.cache.as_ref().map_or(self.cache_stats, |c| c.stats())
-    }
 }
 
 /// Combines the two ordered live-outs of one instance into its
@@ -610,8 +388,8 @@ impl ClassificationResult {
 fn combine_outcomes(
     trace: &ReplayTrace,
     instance: &RaceInstance,
-    fwd: Result<PairLiveOut, ReplayFailure>,
-    rev: Result<PairLiveOut, ReplayFailure>,
+    fwd: &Result<PairLiveOut, ReplayFailure>,
+    rev: &Result<PairLiveOut, ReplayFailure>,
 ) -> ClassifiedInstance {
     let (outcome, original_order) = match (fwd, rev) {
         (Ok(x), Ok(y)) => {
@@ -629,14 +407,14 @@ fn combine_outcomes(
         (Ok(x), Err(f)) => {
             let original =
                 x.matches_recorded(trace, &instance.a, &instance.b).then_some(PairOrder::AThenB);
-            (InstanceOutcome::ReplayFailure(f), original)
+            (InstanceOutcome::ReplayFailure(*f), original)
         }
         (Err(f), Ok(y)) => {
             let original =
                 y.matches_recorded(trace, &instance.a, &instance.b).then_some(PairOrder::BThenA);
-            (InstanceOutcome::ReplayFailure(f), original)
+            (InstanceOutcome::ReplayFailure(*f), original)
         }
-        (Err(f), Err(_)) => (InstanceOutcome::ReplayFailure(f), None),
+        (Err(f), Err(_)) => (InstanceOutcome::ReplayFailure(*f), None),
     };
     ClassifiedInstance { instance: *instance, outcome, original_order }
 }
@@ -646,7 +424,7 @@ fn combine_outcomes(
 pub fn classify_instance(vproc: &Vproc<'_>, instance: &RaceInstance) -> ClassifiedInstance {
     let fwd = vproc.run_pair(&instance.a, &instance.b, PairOrder::AThenB);
     let rev = vproc.run_pair(&instance.a, &instance.b, PairOrder::BThenA);
-    combine_outcomes(vproc.trace(), instance, fwd, rev)
+    combine_outcomes(vproc.trace(), instance, &fwd, &rev)
 }
 
 /// One planned replay: the sites and order to feed [`Vproc::run_pair`].
@@ -655,13 +433,6 @@ struct ReplayJob {
     a: AccessSite,
     b: AccessSite,
     order: PairOrder,
-}
-
-/// One planned instance: which job slots hold its two ordered live-outs.
-struct PlannedInstance {
-    instance: RaceInstance,
-    fwd_job: usize,
-    rev_job: usize,
 }
 
 /// One batch of planned replays sharing a `(region_a, region_b, order)`
@@ -693,13 +464,14 @@ fn form_batches(jobs: &[ReplayJob]) -> Vec<Batch> {
     batches
 }
 
-/// Executes the planned replays on `workers` threads (inline when 1). Each
-/// job lands in its own slot, so the output order — and therefore the
-/// classification — is independent of scheduling. With `batches`, workers
-/// pull whole batches through [`Vproc::run_batch`] instead of single jobs;
-/// per-slot results are identical either way. Also returns the summed
-/// batch-engine counters of every worker (u64 addition commutes, so the
-/// totals are deterministic too).
+/// Executes the planned replays on up to `workers` threads. Every worker
+/// runs the same loop: claim the next work unit from a shared cursor — a
+/// whole batch through [`Vproc::run_batch`] when `batches` is given, else
+/// one job through [`Vproc::run_pair`] — and write each result into its
+/// job's slot, so the output order, and therefore the classification, is
+/// independent of scheduling. A pool of one runs on the calling thread.
+/// Also returns the summed batch-engine counters of every worker (u64
+/// addition commutes, so the totals are deterministic too).
 fn run_jobs(
     trace: &ReplayTrace,
     vproc_config: VprocConfig,
@@ -707,79 +479,50 @@ fn run_jobs(
     batches: Option<&[Batch]>,
     workers: usize,
 ) -> (Vec<Result<PairLiveOut, ReplayFailure>>, BatchStats) {
-    if workers <= 1 || jobs.len() <= 1 {
+    let slots: Vec<OnceLock<Result<PairLiveOut, ReplayFailure>>> =
+        jobs.iter().map(|_| OnceLock::new()).collect();
+    let units = batches.map_or(jobs.len(), <[Batch]>::len);
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
         let vproc = Vproc::new(trace, vproc_config);
-        let outcomes = match batches {
-            Some(batches) => {
-                let mut slots: Vec<Option<Result<PairLiveOut, ReplayFailure>>> =
-                    jobs.iter().map(|_| None).collect();
-                let mut pairs: Vec<(AccessSite, AccessSite)> = Vec::new();
-                for batch in batches {
+        let mut pairs: Vec<(AccessSite, AccessSite)> = Vec::new();
+        loop {
+            let unit = cursor.fetch_add(1, Ordering::Relaxed);
+            if unit >= units {
+                break;
+            }
+            let fill = |j: usize, out| slots[j].set(out).expect("each job is claimed once");
+            match batches {
+                Some(batches) => {
+                    let batch = &batches[unit];
                     pairs.clear();
                     pairs.extend(batch.jobs.iter().map(|&j| (jobs[j].a, jobs[j].b)));
                     for (&j, out) in batch.jobs.iter().zip(vproc.run_batch(&pairs, batch.order)) {
-                        slots[j] = Some(out);
+                        fill(j, out);
                     }
                 }
-                slots.into_iter().map(|s| s.expect("every job is in a batch")).collect()
+                None => {
+                    let job = &jobs[unit];
+                    fill(unit, vproc.run_pair(&job.a, &job.b, job.order));
+                }
             }
-            None => jobs.iter().map(|j| vproc.run_pair(&j.a, &j.b, j.order)).collect(),
-        };
-        return (outcomes, vproc.take_stats());
-    }
-    let slots: Vec<OnceLock<Result<PairLiveOut, ReplayFailure>>> =
-        jobs.iter().map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-    let stats = Mutex::new(BatchStats::default());
-    let units = batches.map_or(jobs.len(), <[Batch]>::len);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(units) {
-            scope.spawn(|| {
-                let vproc = Vproc::new(trace, vproc_config);
-                match batches {
-                    Some(batches) => {
-                        let mut pairs: Vec<(AccessSite, AccessSite)> = Vec::new();
-                        loop {
-                            let bi = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(batch) = batches.get(bi) else { break };
-                            pairs.clear();
-                            pairs.extend(batch.jobs.iter().map(|&j| (jobs[j].a, jobs[j].b)));
-                            let outs = vproc.run_batch(&pairs, batch.order);
-                            for (&j, out) in batch.jobs.iter().zip(outs) {
-                                slots[j].set(out).expect("each job index is claimed once");
-                            }
-                        }
-                    }
-                    None => loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else { break };
-                        let out = vproc.run_pair(&job.a, &job.b, job.order);
-                        slots[i].set(out).expect("each job index is claimed once");
-                    },
-                }
-                stats.lock().unwrap().absorb(vproc.take_stats());
-            });
         }
-    });
-    let outcomes = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("scope joined all workers"))
-        .collect();
-    (outcomes, stats.into_inner().unwrap())
-}
-
-/// Classifies every detected race in `trace`.
-///
-/// The work fans out over [`ClassifierConfig::jobs`] threads and reuses
-/// replays through the configured [`CacheMode`]; both knobs change only the
-/// cost, never the classification (for `Coarse`, see its caveat).
-#[must_use]
-pub fn classify_races(
-    trace: &ReplayTrace,
-    detected: &DetectedRaces,
-    config: &ClassifierConfig,
-) -> ClassificationResult {
-    classify_races_with(trace, detected, config, None)
+        vproc.take_stats()
+    };
+    let stats = match workers.min(units) {
+        0 | 1 => worker(),
+        pool => std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..pool).map(|_| scope.spawn(worker)).collect();
+            let mut stats = BatchStats::default();
+            for handle in handles {
+                stats.absorb(handle.join().expect("classify worker panicked"));
+            }
+            stats
+        }),
+    };
+    let outcomes =
+        slots.into_iter().map(|slot| slot.into_inner().expect("every job ran")).collect();
+    (outcomes, stats)
 }
 
 /// Converts a [`racecheck`] analysis's per-warning predictions (idiom
@@ -799,13 +542,29 @@ pub fn predictions_by_id(
         .collect()
 }
 
-/// [`classify_races`], with an optional static-prediction map consulted only
-/// under the [`TrustStatic`] skip tiers: races the idiom pass predicts
-/// benign at high confidence (`skip-benign`), or whose racy value the
-/// impact pass proves unobservable (`skip-unreachable`), are recorded
-/// No-State-Change without planning any replays. With trust off (or
-/// `predictions` `None`) the map is ignored and the result is identical to
-/// [`classify_races`].
+/// The static predictions the configured trust tier consults: `None` under
+/// [`TrustStatic::Off`], otherwise [`predictions_by_id`] over a fresh
+/// [`racecheck::analyze`] of `program`. Every front end (CLI, service,
+/// pipeline callers) computes them through here, so a trust tier means the
+/// same thing everywhere.
+#[must_use]
+pub fn static_predictions(
+    program: &tvm::Program,
+    trust: TrustStatic,
+) -> Option<BTreeMap<StaticRaceId, StaticPrediction>> {
+    (trust != TrustStatic::Off).then(|| predictions_by_id(&racecheck::analyze(program)))
+}
+
+/// Classifies every detected race in `trace`.
+///
+/// The work fans out over [`ClassifierConfig::jobs`] workers, batched per
+/// [`ClassifierConfig::batching`]; both knobs change only the cost, never
+/// the classification. `predictions` is consulted only under the
+/// [`TrustStatic`] skip tiers: races the idiom pass predicts benign at high
+/// confidence (`skip-benign`), or whose racy value the impact pass proves
+/// unobservable (`skip-unreachable`), are recorded No-State-Change without
+/// planning any replays. With trust off (or `predictions` `None`) the map
+/// is ignored.
 #[must_use]
 pub fn classify_races_with(
     trace: &ReplayTrace,
@@ -813,15 +572,11 @@ pub fn classify_races_with(
     config: &ClassifierConfig,
     predictions: Option<&BTreeMap<StaticRaceId, StaticPrediction>>,
 ) -> ClassificationResult {
-    let cache = ReplayCache::new(config.cache, config.vproc);
-
-    // Phase 1: plan. A sequential walk fixes which replays run and which
-    // reuse an earlier job's live-outs, so the outcome cannot depend on
-    // worker scheduling.
+    // Phase 1: plan. A sequential walk fixes which replays run — each
+    // analyzed instance's a-then-b replay followed by its b-then-a one — so
+    // the outcome cannot depend on worker scheduling.
     let mut jobs: Vec<ReplayJob> = Vec::new();
-    let mut job_index: FastHashMap<u32, usize> = FastHashMap::default();
-    let mut planned_hits = 0u64;
-    let mut plan: Vec<(StaticRaceId, usize, Vec<PlannedInstance>)> = Vec::new();
+    let mut plan: Vec<(StaticRaceId, usize, Vec<RaceInstance>)> = Vec::new();
     let mut static_skipped: Vec<(StaticRaceId, usize)> = Vec::new();
     for (&id, indices) in &detected.by_static {
         if predictions.and_then(|m| m.get(&id)).is_some_and(|p| p.skips_under(config.trust_static))
@@ -829,30 +584,17 @@ pub fn classify_races_with(
             static_skipped.push((id, indices.len()));
             continue;
         }
-        let mut planned = Vec::with_capacity(indices.len().min(config.max_instances_per_race));
-        for &idx in indices.iter().take(config.max_instances_per_race) {
-            let instance = detected.instances[idx];
-            let mut slot = [0usize; 2];
-            for (side, order) in PairOrder::BOTH.into_iter().enumerate() {
-                let job = ReplayJob { a: instance.a, b: instance.b, order };
-                slot[side] = match cache.pair_id(&instance.a, &instance.b, order) {
-                    Some(id) => match job_index.entry(id) {
-                        std::collections::hash_map::Entry::Occupied(hit) => {
-                            planned_hits += 1;
-                            *hit.get()
-                        }
-                        std::collections::hash_map::Entry::Vacant(miss) => {
-                            jobs.push(job);
-                            *miss.insert(jobs.len() - 1)
-                        }
-                    },
-                    None => {
-                        jobs.push(job);
-                        jobs.len() - 1
-                    }
-                };
-            }
-            planned.push(PlannedInstance { instance, fwd_job: slot[0], rev_job: slot[1] });
+        let planned: Vec<RaceInstance> = indices
+            .iter()
+            .take(config.max_instances_per_race)
+            .map(|&idx| detected.instances[idx])
+            .collect();
+        for instance in &planned {
+            jobs.extend(PairOrder::BOTH.map(|order| ReplayJob {
+                a: instance.a,
+                b: instance.b,
+                order,
+            }));
         }
         plan.push((id, indices.len(), planned));
     }
@@ -863,54 +605,52 @@ pub fn classify_races_with(
     let (outcomes, batch_stats) =
         run_jobs(trace, config.vproc, &jobs, batches.as_deref(), config.effective_jobs());
 
-    // Phase 3: assemble, sequentially and in static-id order; note which
-    // live-outs the report phase will want back (each race's first exposing
-    // instance) so the cache retains exactly those.
-    let mut retain = std::collections::HashSet::new();
+    // Phase 3: assemble, sequentially and in static-id order, consuming the
+    // outcomes in plan order (two per instance).
     let mut result = ClassificationResult {
         vproc_replays: jobs.len() as u64,
-        cache_stats: CacheStats {
-            hits: planned_hits,
-            misses: jobs.len() as u64,
-            saved_replays: planned_hits,
-        },
         batch_stats,
+        static_skipped_races: static_skipped.len() as u64,
         ..ClassificationResult::default()
     };
-    result.static_skipped_races = static_skipped.len() as u64;
     for (id, detected_count) in static_skipped {
         let counts = InstanceCounts { detected: detected_count, ..InstanceCounts::default() };
         let group = OutcomeGroup::NoStateChange;
         result.races.insert(
             id,
-            ClassifiedRace { id, group, verdict: group.verdict(), counts, instances: vec![] },
+            ClassifiedRace {
+                id,
+                group,
+                verdict: group.verdict(),
+                counts,
+                instances: vec![],
+                exposing_live_outs: None,
+            },
         );
     }
+    let mut outcomes = outcomes.into_iter();
     for (id, detected_count, planned) in plan {
         let mut counts = InstanceCounts { detected: detected_count, ..InstanceCounts::default() };
         let mut classified = Vec::with_capacity(planned.len());
-        let mut first_exposing_jobs = None;
-        for p in planned {
-            let ci = combine_outcomes(
-                trace,
-                &p.instance,
-                outcomes[p.fwd_job].clone(),
-                outcomes[p.rev_job].clone(),
-            );
+        let mut exposed = false;
+        let mut exposing_live_outs = None;
+        for instance in planned {
+            let fwd = outcomes.next().expect("two planned replays per instance");
+            let rev = outcomes.next().expect("two planned replays per instance");
+            let ci = combine_outcomes(trace, &instance, &fwd, &rev);
             counts.analyzed += 1;
             match ci.outcome {
                 InstanceOutcome::NoStateChange => counts.no_state_change += 1,
                 InstanceOutcome::StateChange => counts.state_change += 1,
                 InstanceOutcome::ReplayFailure(_) => counts.replay_failure += 1,
             }
-            if first_exposing_jobs.is_none() && ci.outcome.is_harmful_signal() {
-                first_exposing_jobs = Some((p.fwd_job, p.rev_job));
+            if !exposed && ci.outcome.is_harmful_signal() {
+                exposed = true;
+                if let (Ok(x), Ok(y)) = (fwd, rev) {
+                    exposing_live_outs = Some(Box::new((x, y)));
+                }
             }
             classified.push(ci);
-        }
-        if let Some((fwd, rev)) = first_exposing_jobs {
-            retain.insert(fwd);
-            retain.insert(rev);
         }
         let group = if counts.state_change > 0 {
             OutcomeGroup::StateChange
@@ -919,16 +659,18 @@ pub fn classify_races_with(
         } else {
             OutcomeGroup::NoStateChange
         };
-        let race =
-            ClassifiedRace { id, group, verdict: group.verdict(), counts, instances: classified };
+        let race = ClassifiedRace {
+            id,
+            group,
+            verdict: group.verdict(),
+            counts,
+            instances: classified,
+            exposing_live_outs,
+        };
         if race_touches_log_damage(&race) {
             result.log_damaged_races += 1;
         }
         result.races.insert(id, race);
-    }
-    cache.absorb_plan(&jobs, &outcomes, planned_hits, &retain);
-    if config.cache != CacheMode::Off {
-        result.cache = Some(Arc::new(cache));
     }
     result
 }
@@ -938,25 +680,25 @@ pub fn classify_races_with(
 /// the same execution or across different test scenarios").
 ///
 /// A race is potentially benign only if every instance in every execution
-/// was No-State-Change. Replay and cache counters are summed; the per-trace
-/// cache handles are dropped (they index into their own traces and cannot
-/// serve a merged view).
+/// was No-State-Change. Replay counters are summed; a merged race keeps the
+/// live-outs of its first exposing instance across the executions.
 #[must_use]
 pub fn merge_classifications(results: &[ClassificationResult]) -> ClassificationResult {
     let mut merged: BTreeMap<StaticRaceId, ClassifiedRace> = BTreeMap::new();
     let mut vproc_replays = 0;
-    let mut cache_stats = CacheStats::default();
     let mut batch_stats = BatchStats::default();
     let mut static_skipped_races = 0;
     for result in results {
         vproc_replays += result.vproc_replays;
-        cache_stats = cache_stats.merged(result.cache_stats);
         batch_stats.absorb(result.batch_stats);
         static_skipped_races += result.static_skipped_races;
         for (id, race) in &result.races {
             merged
                 .entry(*id)
                 .and_modify(|existing| {
+                    if existing.first_exposing_instance().is_none() {
+                        existing.exposing_live_outs.clone_from(&race.exposing_live_outs);
+                    }
                     existing.counts.detected += race.counts.detected;
                     existing.counts.analyzed += race.counts.analyzed;
                     existing.counts.no_state_change += race.counts.no_state_change;
@@ -981,11 +723,10 @@ pub fn merge_classifications(results: &[ClassificationResult]) -> Classification
     ClassificationResult {
         races: merged,
         vproc_replays,
-        cache_stats,
+        cache_stats: CacheStats::default(),
         batch_stats,
         static_skipped_races,
         log_damaged_races,
-        cache: None,
     }
 }
 
@@ -1012,7 +753,7 @@ mod tests {
         let rec = record(&program, &cfg);
         let trace = replay(&program, &rec.log).unwrap();
         let detected = detect_races(&trace, &DetectorConfig::default());
-        classify_races(&trace, &detected, &ClassifierConfig::default())
+        classify_races_with(&trace, &detected, &ClassifierConfig::default(), None)
     }
 
     #[test]
@@ -1041,6 +782,8 @@ mod tests {
         assert_eq!(race.group, OutcomeGroup::StateChange);
         assert_eq!(race.verdict, Verdict::PotentiallyHarmful);
         assert!(race.first_exposing_instance().is_some());
+        let (fwd, rev) = race.exposing_live_outs.as_deref().expect("State-Change keeps live-outs");
+        assert_ne!(fwd, rev, "the kept live-outs are the two states that differed");
     }
 
     #[test]
@@ -1100,6 +843,7 @@ mod tests {
                     ..InstanceCounts::default()
                 },
                 instances: vec![],
+                exposing_live_outs: None,
             },
         );
         let mut harmful = ClassificationResult::default();
@@ -1116,6 +860,7 @@ mod tests {
                     ..InstanceCounts::default()
                 },
                 instances: vec![],
+                exposing_live_outs: None,
             },
         );
         let merged = merge_classifications(&[benign, harmful]);
@@ -1127,20 +872,11 @@ mod tests {
 
     #[test]
     fn merge_sums_replay_and_cache_accounting() {
-        let one = ClassificationResult {
-            vproc_replays: 10,
-            cache_stats: CacheStats { hits: 3, misses: 10, saved_replays: 3 },
-            ..ClassificationResult::default()
-        };
-        let two = ClassificationResult {
-            vproc_replays: 4,
-            cache_stats: CacheStats { hits: 1, misses: 4, saved_replays: 1 },
-            ..ClassificationResult::default()
-        };
+        let one = ClassificationResult { vproc_replays: 10, ..ClassificationResult::default() };
+        let two = ClassificationResult { vproc_replays: 4, ..ClassificationResult::default() };
         let merged = merge_classifications(&[one, two]);
         assert_eq!(merged.vproc_replays, 14);
-        assert_eq!(merged.cache_stats, CacheStats { hits: 4, misses: 14, saved_replays: 4 });
-        assert!(merged.cache.is_none(), "merged results span traces; no shared cache");
+        assert_eq!(merged.cache_stats, CacheStats::default(), "no replay memo, no hits");
     }
 
     #[test]
@@ -1177,7 +913,7 @@ mod tests {
         let rec = record(&program, &cfg);
         let trace = replay(&program, &rec.log).unwrap();
         let detected = detect_races(&trace, &DetectorConfig::default());
-        let baseline = classify_races(&trace, &detected, &ClassifierConfig::default());
+        let baseline = classify_races_with(&trace, &detected, &ClassifierConfig::default(), None);
         assert_eq!(baseline.static_skipped_races, 0);
         let (&id, base_race) = baseline.races.iter().next().unwrap();
         assert!(base_race.counts.analyzed > 0);
@@ -1271,7 +1007,7 @@ mod tests {
         assert_eq!(prediction.reach, Reach::Unreachable);
         assert!(!prediction.predicted.high_confidence_benign(), "no idiom matches a dead load");
 
-        let baseline = classify_races(&trace, &detected, &ClassifierConfig::default());
+        let baseline = classify_races_with(&trace, &detected, &ClassifierConfig::default(), None);
         assert_eq!(baseline.races[&id].group, OutcomeGroup::NoStateChange, "soundness");
 
         // skip-benign alone must NOT skip it (the idiom half says nothing)…
@@ -1333,14 +1069,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_cache_mode_names() {
-        assert_eq!(CacheMode::parse("off").unwrap(), CacheMode::Off);
-        assert_eq!(CacheMode::parse("exact").unwrap(), CacheMode::Exact);
-        assert_eq!(CacheMode::parse("coarse").unwrap(), CacheMode::Coarse);
-        assert!(CacheMode::parse("lru").is_err());
-    }
-
-    #[test]
     fn parse_batch_mode_names() {
         assert_eq!(BatchMode::parse("off").unwrap(), BatchMode::Off);
         assert_eq!(BatchMode::parse("shared").unwrap(), BatchMode::Shared);
@@ -1395,15 +1123,15 @@ mod tests {
         let rec = record(&program, &cfg);
         let trace = replay(&program, &rec.log).unwrap();
         let detected = detect_races(&trace, &DetectorConfig::default());
-        let batched = classify_races(&trace, &detected, &ClassifierConfig::default());
-        let unbatched = classify_races(
+        let batched = classify_races_with(&trace, &detected, &ClassifierConfig::default(), None);
+        let unbatched = classify_races_with(
             &trace,
             &detected,
             &ClassifierConfig { batching: BatchMode::Off, ..ClassifierConfig::default() },
+            None,
         );
         assert_eq!(batched.races, unbatched.races);
         assert_eq!(batched.vproc_replays, unbatched.vproc_replays);
-        assert_eq!(batched.cache_stats, unbatched.cache_stats);
         assert!(batched.batch_stats.batches > 0, "the loop instances must share a batch");
         assert!(batched.batch_stats.prefix_executions < unbatched.batch_stats.prefix_executions);
         assert_eq!(unbatched.batch_stats.batches, 0);

@@ -58,7 +58,7 @@ pub mod static_feed;
 pub mod triage;
 
 pub use classify::{
-    classify_races, classify_races_with, predictions_by_id, BatchMode, ClassificationResult,
+    classify_races_with, predictions_by_id, static_predictions, BatchMode, ClassificationResult,
     ClassifiedInstance, ClassifiedRace, ClassifierConfig, InstanceOutcome, OutcomeGroup,
     StaticPrediction, TrustStatic, Verdict,
 };

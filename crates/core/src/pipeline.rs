@@ -18,11 +18,10 @@ use tvm::program::Program;
 use tvm::scheduler::{run_native, RunConfig};
 
 use crate::classify::{
-    classify_races_with, CacheStats, ClassificationResult, ClassifierConfig, StaticPrediction,
+    classify_races_with, ClassificationResult, ClassifierConfig, StaticPrediction,
 };
 use crate::detect::{detect_races, DetectedRaces, DetectorConfig, StaticRaceId};
 use crate::report::Report;
-use idna_replay::vproc::BatchStats;
 
 /// Pipeline options.
 #[derive(Clone, Debug)]
@@ -67,11 +66,6 @@ pub struct PhaseTimings {
     pub detect: Duration,
     /// Dual-order classification of every race instance.
     pub classify: Duration,
-    /// Replay-cache counters across classification *and* report building
-    /// (the report reuses classification replays through the cache).
-    pub cache: CacheStats,
-    /// Shared-prefix batch-engine counters for the classify phase.
-    pub batching: BatchStats,
 }
 
 impl PhaseTimings {
@@ -171,8 +165,6 @@ pub fn run_pipeline(
     timings.classify = start.elapsed();
 
     let report = Report::build(&trace, &classification);
-    timings.cache = classification.cache_stats_now();
-    timings.batching = classification.batch_stats;
 
     Ok(PipelineResult {
         trace,

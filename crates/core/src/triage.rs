@@ -253,7 +253,7 @@ impl fmt::Display for TriageQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::{classify_races, ClassifierConfig};
+    use crate::classify::{classify_races_with, ClassifierConfig};
     use crate::detect::{detect_races, DetectorConfig};
     use idna_replay::recorder::record;
     use idna_replay::replayer::replay;
@@ -290,7 +290,11 @@ mod tests {
         let rec = record(&program, &RunConfig::round_robin(1));
         let trace = replay(&program, &rec.log).unwrap();
         let detected = detect_races(&trace, &DetectorConfig::default());
-        (classify_races(&trace, &detected, &ClassifierConfig::default()), benign, harmful)
+        (
+            classify_races_with(&trace, &detected, &ClassifierConfig::default(), None),
+            benign,
+            harmful,
+        )
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use minijson::Json;
-use replay_race::classify::{classify_races_with, ClassifierConfig};
+use replay_race::classify::{classify_races_with, static_predictions, ClassifierConfig};
 use replay_race::detect::{detect_races, DetectorConfig};
 use replay_race::report::Report;
 use tvm::asm::assemble;
@@ -382,7 +382,8 @@ fn run_submission(shared: &Shared, doc: &Json) -> Result<Json, String> {
     counters.detect_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
     let start = Instant::now();
-    let classification = classify_races_with(&trace, &detected, &classifier, None);
+    let predictions = static_predictions(&program, classifier.trust_static);
+    let classification = classify_races_with(&trace, &detected, &classifier, predictions.as_ref());
     counters.classify_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
     let start = Instant::now();

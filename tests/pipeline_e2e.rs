@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 
 use idna_replay::timetravel::TimeTraveler;
 use idna_replay::vproc::VprocConfig;
-use replay_race::classify::{ClassifierConfig, OutcomeGroup, Verdict};
+use replay_race::classify::{ClassifierConfig, InstanceOutcome, OutcomeGroup, Verdict};
 use replay_race::pipeline::{run_pipeline, PipelineConfig};
 use tvm::scheduler::RunConfig;
 use workloads::browser::{browser_program, BrowserConfig};
@@ -80,6 +80,37 @@ fn permissive_control_flow_fixes_the_replayer_limitation_races() {
         OutcomeGroup::NoStateChange,
         "the paper predicts the limitation races become no-state-change"
     );
+}
+
+#[test]
+fn permissive_state_change_scenarios_quote_the_classifiers_live_outs() {
+    // The report renders a State-Change difference from the two live-outs
+    // the classifier compared, never by replaying again: a re-run under
+    // other virtual-processor options would fail on exactly these
+    // permissive executions and contradict the verdict it explains.
+    for name in ["e12_print_spooler", "e13_tab_close", "e17_gc_pass", "e18_stress_mix"] {
+        let exec = corpus_executions().into_iter().find(|e| e.name == name).expect("execution");
+        let enabled: BTreeSet<&str> = exec.enabled.iter().copied().collect();
+        let program = corpus_program(&enabled);
+        let mut cfg = PipelineConfig::new(exec.schedule);
+        cfg.classifier = ClassifierConfig { vproc: VprocConfig::permissive(), ..cfg.classifier };
+        let result = run_pipeline(&program, &cfg).expect("pipeline");
+        let differences: Vec<&str> = result
+            .report
+            .races
+            .iter()
+            .filter_map(|r| r.scenario.as_ref())
+            .filter(|s| s.outcome == InstanceOutcome::StateChange)
+            .map(|s| s.difference.as_str())
+            .collect();
+        assert!(!differences.is_empty(), "{name}: expected State-Change scenarios");
+        for difference in &differences {
+            assert!(!difference.contains("replay failure"), "{name}: {difference}");
+        }
+        if name == "e12_print_spooler" {
+            assert!(differences.contains(&"register live-outs differ"), "{differences:?}");
+        }
+    }
 }
 
 #[test]

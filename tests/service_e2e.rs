@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use minijson::Json;
 use racerep::{cmd_races, cmd_record, cmd_submit, parse_schedule, FailOn};
-use replay_race::classify::ClassifierConfig;
+use replay_race::classify::{ClassifierConfig, TrustStatic};
 use serviced::{client, Server, ServerConfig};
 
 fn sample(name: &str) -> PathBuf {
@@ -155,4 +155,41 @@ fn submit_fail_on_harmful_sets_the_exit_code() {
     handle.join().unwrap().expect("server drains cleanly");
     let _ = std::fs::remove_dir_all(&work);
     let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// A server started with `--trust-static skip-benign` skips the replays
+/// one-shot `races --trust-static skip-benign` skips: its report is
+/// byte-identical to that one-shot report, not to the untrusted one.
+#[test]
+fn trust_static_server_matches_the_trusted_one_shot_report() {
+    let work = temp_dir("trust");
+    let classifier =
+        ClassifierConfig { trust_static: TrustStatic::SkipAgreedBenign, ..Default::default() };
+    let program = sample("idiom_redundant_write.tasm");
+    let log = work.join("idiom_redundant_write.idna");
+    cmd_record(&program, &log, parse_schedule("rr:2").unwrap()).unwrap();
+    let trusted = cmd_races(&program, &log, true, &classifier, None, false, false).unwrap();
+    let untrusted =
+        cmd_races(&program, &log, true, &ClassifierConfig::default(), None, false, false).unwrap();
+    assert!(trusted.contains("\"instances_analyzed\": 0"), "{trusted}");
+    assert_ne!(trusted, untrusted, "the trusted tier must skip a replay here");
+
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        classifier,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = std::thread::spawn(move || server.run());
+    let source = std::fs::read_to_string(&program).unwrap();
+    let container = std::fs::read(&log).unwrap();
+    let response = client::submit(&addr, &source, &container, 40).unwrap();
+    let got = response.get("report").unwrap().to_string_pretty();
+    assert_eq!(got, trusted, "the server must apply --trust-static like one-shot races");
+
+    client::shutdown(&addr).unwrap();
+    handle.join().unwrap().expect("server drains cleanly");
+    let _ = std::fs::remove_dir_all(&work);
 }

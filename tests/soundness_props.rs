@@ -18,7 +18,7 @@ use idna_replay::codec::{compress, decode_log, decompress, encode_log};
 use idna_replay::recorder::record;
 use idna_replay::replayer::replay;
 use idna_replay::vproc::{PairOrder, Vproc, VprocConfig};
-use replay_race::classify::{classify_races, ClassifierConfig, InstanceOutcome};
+use replay_race::classify::{classify_races_with, ClassifierConfig, InstanceOutcome};
 use replay_race::detect::{detect_races, DetectorConfig};
 use tvm::exec::AccessKind;
 use tvm::isa::{BinOp, Cond, Reg, RmwOp, SysCall};
@@ -221,7 +221,7 @@ fn no_state_change_is_justified() {
         }
         let trace = replay(&program, &rec.log).expect("replay");
         let detected = detect_races(&trace, &DetectorConfig::default());
-        let classified = classify_races(&trace, &detected, &ClassifierConfig::default());
+        let classified = classify_races_with(&trace, &detected, &ClassifierConfig::default(), None);
         let vproc = Vproc::new(&trace, VprocConfig::default());
         for race in classified.races.values() {
             for ci in &race.instances {

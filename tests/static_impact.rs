@@ -16,8 +16,7 @@ use std::collections::BTreeSet;
 use idna_replay::recorder::record;
 use idna_replay::replayer::replay;
 use replay_race::classify::{
-    classify_races, classify_races_with, predictions_by_id, BatchMode, ClassifierConfig,
-    OutcomeGroup, TrustStatic,
+    classify_races_with, predictions_by_id, BatchMode, ClassifierConfig, OutcomeGroup, TrustStatic,
 };
 use replay_race::detect::{detect_races, DetectorConfig};
 use tvm::scheduler::RunConfig;
@@ -43,10 +42,11 @@ fn skip_unreachable_never_changes_a_verdict_or_group() {
             let trace = replay(&program, &recording.log).expect("fresh recordings replay");
             let detected = detect_races(&trace, &DetectorConfig::default());
             for batching in [BatchMode::Off, BatchMode::Shared] {
-                let baseline = classify_races(
+                let baseline = classify_races_with(
                     &trace,
                     &detected,
                     &ClassifierConfig { batching, ..ClassifierConfig::default() },
+                    None,
                 );
                 for trust in [TrustStatic::SkipUnreachable, TrustStatic::SkipBoth] {
                     let config = ClassifierConfig {
@@ -95,7 +95,7 @@ fn impact_unreachable_races_always_replay_to_no_state_change() {
             let recording = record(&program, &schedule);
             let trace = replay(&program, &recording.log).expect("fresh recordings replay");
             let detected = detect_races(&trace, &DetectorConfig::default());
-            let result = classify_races(&trace, &detected, &ClassifierConfig::default());
+            let result = classify_races_with(&trace, &detected, &ClassifierConfig::default(), None);
             for (race_id, race) in &result.races {
                 if predictions
                     .get(race_id)
