@@ -13,41 +13,9 @@
 //! cargo run --release -p bench --bin ablation_permissive
 //! ```
 
-use std::collections::BTreeSet;
-
 use idna_replay::vproc::VprocConfig;
-use replay_race::classify::{merge_classifications, ClassifierConfig};
-use replay_race::detect::DetectorConfig;
-use replay_race::pipeline::{run_pipeline, PipelineConfig};
-use workloads::corpus::{corpus_executions, corpus_manifest, corpus_program};
-use workloads::eval::{CorpusReport, Table1};
-use workloads::truth::TruthTable;
-
-fn run_with(vproc: VprocConfig) -> CorpusReport {
-    let mut results = Vec::new();
-    let mut program_for_truth = None;
-    let mut total_instructions = 0;
-    for exec in corpus_executions() {
-        let enabled: BTreeSet<&str> = exec.enabled.iter().copied().collect();
-        let program = corpus_program(&enabled);
-        let config = PipelineConfig {
-            run: exec.schedule,
-            detector: DetectorConfig::default(),
-            classifier: ClassifierConfig { vproc, ..ClassifierConfig::default() },
-            static_predictions: None,
-            measure_native: false,
-        };
-        let result = run_pipeline(&program, &config).expect("pipeline");
-        total_instructions += result.instructions;
-        results.push(result.classification);
-        program_for_truth.get_or_insert(program);
-    }
-    let merged = merge_classifications(&results);
-    let truth = TruthTable::resolve(program_for_truth.as_ref().unwrap(), &corpus_manifest());
-    let unexpected =
-        merged.races.keys().filter(|id| truth.verdict(**id).is_none()).copied().collect();
-    CorpusReport { merged, truth, executions: Vec::new(), unexpected, total_instructions }
-}
+use replay_race::classify::ClassifierConfig;
+use workloads::eval::{run_corpus_with, Table1};
 
 fn main() {
     let configs: [(&str, VprocConfig); 4] = [
@@ -69,7 +37,7 @@ fn main() {
     );
     for (label, vproc) in configs {
         eprintln!("running corpus with {label} ...");
-        let report = run_with(vproc);
+        let report = run_corpus_with(&ClassifierConfig { vproc, ..ClassifierConfig::default() });
         let t1 = Table1::compute(&report);
         let (nsc, sc, rf) = (
             t1.cells[0][0] + t1.cells[0][1],

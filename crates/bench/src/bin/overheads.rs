@@ -28,7 +28,7 @@ use replay_race::classify::{
 use replay_race::pipeline::{run_pipeline, PipelineConfig, PipelineResult};
 use tvm::machine::Machine;
 use tvm::predecode::DecodedProgram;
-use tvm::scheduler::{run_reference, RunConfig};
+use tvm::scheduler::{run_native, run_reference, RunConfig};
 use workloads::browser::{browser_program, BrowserConfig};
 use workloads::corpus::{corpus_executions, corpus_program};
 use workloads::eval::{run_corpus_with, run_corpus_with_predictions};
@@ -61,20 +61,21 @@ fn main() {
     // Take the fastest native baseline over several runs to stabilize the
     // ratios (single shared machine: an interpreter run is deterministic,
     // only the wall clock varies).
+    let decoded = Arc::new(DecodedProgram::new(program.clone()));
     let mut result: Option<PipelineResult> = None;
     let mut native = Duration::MAX;
     for _ in 0..reps {
-        let r = run_pipeline(&program, &PipelineConfig::new(run)).expect("pipeline");
-        native = native.min(r.timings.native);
-        result = Some(r);
+        let start = Instant::now();
+        run_native(&mut Machine::with_decoded(decoded.clone()), &run);
+        native = native.min(start.elapsed());
+        result = Some(run_pipeline(&program, &PipelineConfig::new(run)).expect("pipeline"));
     }
-    let mut result = result.expect("at least one rep");
-    result.timings.native = native;
+    let result = result.expect("at least one rep");
+    let analysis = &result.analysis;
 
     // The "before" baseline: the reference interpreter (decodes `Instr`
     // on every step) over the same program and schedule. This is what the
     // seed tree shipped; the decoded/reference ratio is the predecode win.
-    let decoded = Arc::new(DecodedProgram::new(program.clone()));
     let mut reference = Duration::MAX;
     for _ in 0..reps {
         let start = Instant::now();
@@ -83,12 +84,12 @@ fn main() {
         reference = reference.min(start.elapsed());
     }
 
-    let t = &result.timings;
+    let t = &analysis.timings;
     println!(
         "instructions: {}; races: {} unique, {} dynamic instances (paper IE run: 2,196 instances)",
         result.instructions,
-        result.detected.unique_races(),
-        result.detected.instance_count()
+        analysis.detected.unique_races(),
+        analysis.detected.instance_count()
     );
     let minstr = |d: Duration| {
         #[allow(clippy::cast_precision_loss)]
@@ -97,16 +98,21 @@ fn main() {
     };
     println!(
         "native time: {:?} ({:.1} Minstr/s decoded; reference interpreter {:?}, {:.1} Minstr/s, speedup {:.2}x)",
-        t.native,
-        minstr(t.native),
+        native,
+        minstr(native),
         reference,
         minstr(reference),
-        reference.as_secs_f64() / t.native.as_secs_f64().max(1e-12),
+        reference.as_secs_f64() / native.as_secs_f64().max(1e-12),
     );
     println!();
     println!("phase overheads vs native:");
-    let measured =
-        [t.overhead(t.record), t.overhead(t.replay), t.overhead(t.detect), t.overhead(t.classify)];
+    let slowdown = |phase: Duration| phase.as_secs_f64() / native.as_secs_f64().max(1e-12);
+    let measured = [
+        slowdown(result.record_time),
+        slowdown(t.replay),
+        slowdown(t.detect),
+        slowdown(t.classify),
+    ];
     for ((label, paper), m) in PAPER_OVERHEADS.iter().zip(measured) {
         row(label, format!("~{paper}x"), format!("{m:.1}x"));
     }
@@ -223,7 +229,7 @@ fn main() {
         let mut classification = None;
         for _ in 0..reps {
             let start = Instant::now();
-            let c = classify_races_with(&result.trace, &result.detected, &config, None);
+            let c = classify_races_with(&analysis.trace, &analysis.detected, &config, None);
             best = best.min(start.elapsed());
             classification = Some(c);
         }
@@ -284,7 +290,7 @@ fn main() {
         &run,
         &mut idna_replay::codec::LogWriter::new(),
     );
-    let one_shot_json = result.report.to_json_value().to_string_pretty();
+    let one_shot_json = analysis.report.to_json_value().to_string_pretty();
     let cache_dir =
         std::env::temp_dir().join(format!("racerepd-bench-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
@@ -305,9 +311,9 @@ fn main() {
             serviced::client::submit(addr, &source, &container, 40).expect("submit succeeds");
         (start.elapsed(), response)
     };
-    // Fastest of five submits to one server, plus the last response. Five
-    // even at smoke scale: the acceptor polls every 25 ms when idle, so a
-    // millisecond-scale submit can wait out one poll now and then.
+    // Fastest of five submits to one server, plus the last response: a
+    // millisecond-scale submit is at the mercy of scheduler noise on a
+    // shared machine.
     let best_of = |addr: &str| {
         let mut best = Duration::MAX;
         let mut last = Json::Null;
@@ -365,12 +371,9 @@ fn main() {
             Json::obj(vec![
                 ("reference_ms", Json::from(ms(reference))),
                 ("reference_minstr_per_s", Json::from(minstr(reference))),
-                ("decoded_ms", Json::from(ms(t.native))),
-                ("decoded_minstr_per_s", Json::from(minstr(t.native))),
-                (
-                    "speedup",
-                    Json::from(reference.as_secs_f64() / t.native.as_secs_f64().max(1e-12)),
-                ),
+                ("decoded_ms", Json::from(ms(native))),
+                ("decoded_minstr_per_s", Json::from(minstr(native))),
+                ("speedup", Json::from(reference.as_secs_f64() / native.as_secs_f64().max(1e-12))),
             ]),
         ),
         (

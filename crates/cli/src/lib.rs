@@ -86,8 +86,7 @@ use std::sync::Arc;
 use minijson::Json;
 
 use idna_replay::codec::{
-    decode_log_mode, decompress, frame_spans, strip_damaged, with_log_writer, DecodeMode,
-    DecodeReport, LogWriter,
+    decode_log_mode, decompress, frame_spans, with_log_writer, DecodeMode, DecodeReport, LogWriter,
 };
 use idna_replay::event::ReplayLog;
 use idna_replay::recorder::record;
@@ -96,7 +95,7 @@ use idna_replay::vproc::VprocConfig;
 use replay_race::classify::{
     static_predictions, BatchMode, ClassificationResult, ClassifierConfig, TrustStatic, Verdict,
 };
-use replay_race::pipeline::{damage_profile, run_pipeline, PipelineConfig};
+use replay_race::pipeline::{analyze, run_pipeline, Analysis, PipelineConfig};
 use replay_race::triage::{ManualVerdict, TriageDb};
 use tvm::asm::{assemble, disassemble_annotated};
 use tvm::machine::Machine;
@@ -388,12 +387,9 @@ fn replay_stats_json(classification: &ClassificationResult) -> Json {
 /// renders the developer report.
 ///
 /// With `tolerant`, a damaged log degrades instead of failing: intact
-/// frames are salvaged, the decode report is refined into a per-thread
-/// damage profile via the static analyzer, and races whose live-in state
-/// was lost come back as replay failures (potentially harmful). If the
-/// salvaged bytes themselves poison the replay, the damaged threads are
-/// stripped to placeholders and the replay is retried — classification
-/// then proceeds on the intact threads alone.
+/// frames are salvaged and [`analyze`] classifies races whose live-in
+/// state was lost as replay failures (potentially harmful), retrying the
+/// replay on the intact threads alone if the salvaged bytes poison it.
 ///
 /// # Errors
 ///
@@ -410,32 +406,11 @@ pub fn cmd_races(
     let program = load_program(path)?;
     let mode = if tolerant { DecodeMode::Tolerant } else { DecodeMode::Strict };
     let (log, _schedule, decode_report) = load_log_mode(log_path, mode)?;
-    let damaged = !decode_report.is_clean();
-    let mut trace = match replay(&program, &log) {
-        Ok(trace) => trace,
-        Err(_) if tolerant && damaged => {
-            // A salvaged prefix can still hold silently corrupted values
-            // that derail the replay (checksums detect damage, they do
-            // not localize it). Placeholder-only damaged threads always
-            // replay — each thread replays purely from its own log.
-            let stripped = strip_damaged(&log, &decode_report);
-            replay(&program, &stripped).map_err(|e| CliError { message: e.to_string() })?
-        }
-        Err(e) => return err(e.to_string()),
-    };
-    if tolerant && damaged {
-        trace.set_damage(damage_profile(&program, &decode_report));
-    }
-    let detected =
-        replay_race::detect::detect_races(&trace, &replay_race::detect::DetectorConfig::default());
     let predictions = static_predictions(&program, classifier.trust_static);
-    let classification = replay_race::classify::classify_races_with(
-        &trace,
-        &detected,
-        classifier,
-        predictions.as_ref(),
-    );
-    let report = replay_race::report::Report::build(&trace, &classification);
+    let decoded = Arc::new(DecodedProgram::new(program));
+    let Analysis { classification, report, .. } =
+        analyze(&decoded, &log, &decode_report, classifier, predictions.as_ref())
+            .map_err(|e| CliError { message: e.to_string() })?;
     let mut out = if json {
         // The report is the document root; --replay-stats grafts the
         // engine counters on as a sibling of "races".
@@ -448,7 +423,7 @@ pub fn cmd_races(
         doc.to_string_pretty()
     } else {
         let mut text = String::new();
-        if damaged {
+        if !decode_report.is_clean() {
             text.push_str(&format!(
                 "!!! log damage: {} of {} frame(s) damaged, {} byte(s) dropped (decoded with --tolerant)\n\n",
                 decode_report.damaged_frames(),
@@ -517,30 +492,31 @@ pub fn cmd_classify(
     };
     let result =
         run_pipeline(&program, &config).map_err(|e| CliError { message: e.to_string() })?;
+    let analysis = &result.analysis;
     Ok(if json {
         // Same document shape as `races --format json`: the report is the
         // root; --replay-stats grafts the engine counters on as a sibling
         // of "races".
-        let mut doc = result.report.to_json_value();
+        let mut doc = analysis.report.to_json_value();
         if replay_stats {
             if let Json::Obj(fields) = &mut doc {
-                fields.push(("replay_stats".into(), replay_stats_json(&result.classification)));
+                fields.push(("replay_stats".into(), replay_stats_json(&analysis.classification)));
             }
         }
         doc.to_string_pretty()
     } else {
-        let mut out = result.report.to_text();
+        let mut out = analysis.report.to_text();
         out.push_str(&format!(
             "\n{} instructions, {} dynamic race instances, log {:.3} bits/instr\n",
             result.instructions,
-            result.detected.instance_count(),
+            analysis.detected.instance_count(),
             result.log_size.bits_per_instr_raw(),
         ));
-        out.push_str(&replay_stats_text(&result.classification));
-        if result.classification.static_skipped_races > 0 {
+        out.push_str(&replay_stats_text(&analysis.classification));
+        if analysis.classification.static_skipped_races > 0 {
             out.push_str(&format!(
                 "{} race(s) recorded benign on static authority (no replays)\n",
-                result.classification.static_skipped_races,
+                analysis.classification.static_skipped_races,
             ));
         }
         out

@@ -22,10 +22,11 @@
 //! 5. **Report** each potentially harmful race with a concrete, reproducible
 //!    two-way replay scenario ([`report`]).
 //!
-//! [`pipeline::run_pipeline`] drives all five stages and measures the phase
-//! overheads the paper reports in §5.1. [`baselines`] contains the classic
-//! online detectors (vector-clock happens-before and the Eraser lockset
-//! algorithm) used for comparison.
+//! [`pipeline::analyze`] runs stages 2–5 on a decoded log and times each
+//! phase; it is the one path behind `racerep races`, the racerepd service
+//! and [`pipeline::run_pipeline`], which records a fresh execution first.
+//! [`baselines`] contains the classic online detectors (vector-clock
+//! happens-before and the Eraser lockset algorithm) used for comparison.
 //!
 //! # Quickstart
 //!
@@ -43,8 +44,9 @@
 //! b.movi(Reg::R1, 2).store(Reg::R1, Reg::R15, 0x20).halt();
 //!
 //! let result = run_pipeline(&b.build().into(), &PipelineConfig::new(RunConfig::round_robin(1)))?;
-//! assert_eq!(result.classification.with_verdict(Verdict::PotentiallyHarmful).count(), 1);
-//! println!("{}", result.report.to_text());
+//! let analysis = &result.analysis;
+//! assert_eq!(analysis.classification.with_verdict(Verdict::PotentiallyHarmful).count(), 1);
+//! println!("{}", analysis.report.to_text());
 //! # Ok::<(), idna_replay::replayer::ReplayError>(())
 //! ```
 
@@ -63,6 +65,6 @@ pub use classify::{
     StaticPrediction, TrustStatic, Verdict,
 };
 pub use detect::{detect_races, DetectedRaces, DetectorConfig, RaceInstance, StaticRaceId};
-pub use pipeline::{run_pipeline, PipelineConfig, PipelineResult};
+pub use pipeline::{analyze, run_pipeline, Analysis, PipelineConfig, PipelineResult};
 pub use report::{RaceReport, Report};
 pub use triage::{ManualVerdict, TriageDb, TriageQueue};

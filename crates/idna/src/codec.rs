@@ -25,8 +25,8 @@
 //! that are lost entirely. The accompanying [`DecodeReport`] records
 //! which frames survived; [`DecodeReport::trace_damage`] converts it to
 //! the conservative damage horizon the virtual processor uses to map
-//! races touching lost state to replay failures. Version-1 logs (no
-//! framing) still decode.
+//! races touching lost state to replay failures. Only the framed
+//! version 2 decodes; any other version is rejected.
 //!
 //! [`FastHasher`]: tvm::fasthash::FastHasher
 
@@ -44,8 +44,6 @@ use crate::event::{EndStatus, ReplayLog, ThreadEvent, ThreadLog};
 const MAGIC: &[u8; 4] = b"IDNL";
 /// Current format: per-thread checksummed frames.
 const FORMAT_VERSION: u8 = 2;
-/// The pre-framing flat format; still decoded.
-const LEGACY_VERSION: u8 = 1;
 /// Bytes of frame header: u32 LE payload length + u64 LE checksum.
 const FRAME_HEADER: usize = 12;
 /// Upper bound on any single eager `Vec` reservation while decoding
@@ -263,22 +261,6 @@ pub fn encode_log_into(log: &ReplayLog, buf: &mut Vec<u8>) {
     }
 }
 
-/// Encodes a log in the legacy unframed version-1 layout. Kept so the
-/// decode path for archived logs stays pinned by tests; new logs should
-/// always use [`encode_log`].
-#[must_use]
-pub fn encode_log_v1(log: &ReplayLog) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.push(LEGACY_VERSION);
-    put_varint(&mut buf, log.total_instructions);
-    put_varint(&mut buf, log.threads.len() as u64);
-    for t in &log.threads {
-        encode_thread(&mut buf, t);
-    }
-    buf
-}
-
 /// Checksum of one frame payload: length-prefixed so a truncated payload
 /// spliced with another frame's bytes cannot collide trivially.
 fn frame_checksum(payload: &[u8]) -> u64 {
@@ -434,7 +416,7 @@ impl DecodeReport {
 
     /// The fully conservative damage horizon implied by this report:
     /// every damaged thread may have written any address from its trusted
-    /// timestamp on. `replay_race::damage_profile` narrows this with the
+    /// timestamp on. `replay_race::pipeline::analyze` narrows this with the
     /// static analyzer's may-write sets when the program is available.
     #[must_use]
     pub fn trace_damage(&self) -> TraceDamage {
@@ -473,8 +455,8 @@ pub fn decode_log_tolerant(bytes: &[u8]) -> Result<(ReplayLog, DecodeReport), Co
     decode_log_mode(bytes, DecodeMode::Tolerant)
 }
 
-/// Decodes a log in the given [`DecodeMode`]; understands the current
-/// framed format and the legacy unframed version 1.
+/// Decodes a log in the given [`DecodeMode`]. Only the current framed
+/// format is understood.
 ///
 /// # Errors
 ///
@@ -493,7 +475,6 @@ pub fn decode_log_mode(
     }
     let version = buf.get_u8();
     match version {
-        LEGACY_VERSION => decode_body_v1(buf, mode),
         FORMAT_VERSION => decode_body_v2(buf, mode),
         v => cerr(format!("unsupported format version {v}")),
     }
@@ -525,71 +506,6 @@ fn placeholder_thread(slot: usize) -> ThreadLog {
         end_status: EndStatus::Truncated,
         footprint: Vec::new(),
     }
-}
-
-fn decode_body_v1(
-    mut buf: Reader<'_>,
-    mode: DecodeMode,
-) -> Result<(ReplayLog, DecodeReport), CodecError> {
-    let total_instructions = get_varint(&mut buf)?;
-    let nthreads = get_varint(&mut buf)? as usize;
-    check_nthreads(nthreads, buf.remaining())?;
-    let mut threads = Vec::with_capacity(nthreads.min(MAX_PREALLOC));
-    let mut report =
-        DecodeReport { format_version: LEGACY_VERSION, frames: Vec::new(), bytes_dropped: 0 };
-    for slot in 0..nthreads {
-        let start = buf.pos;
-        match decode_thread(&mut buf) {
-            Ok(mut t) => {
-                t.tid = slot;
-                report.frames.push(FrameInfo {
-                    tid: slot,
-                    payload_len: buf.pos - start,
-                    status: FrameStatus::Intact,
-                    salvaged_events: 0,
-                    trusted_ts: t.end_ts,
-                });
-                threads.push(t);
-            }
-            Err(e) => {
-                if mode == DecodeMode::Strict {
-                    return Err(e);
-                }
-                // No framing in v1: once one thread is unreadable there is
-                // no way to find the start of the next, so the rest of the
-                // stream is lost.
-                report.bytes_dropped += buf.bytes.len() - start;
-                report.frames.push(FrameInfo {
-                    tid: slot,
-                    payload_len: buf.bytes.len() - start,
-                    status: FrameStatus::Malformed(e.message),
-                    salvaged_events: 0,
-                    trusted_ts: 0,
-                });
-                threads.push(placeholder_thread(slot));
-                for rest in slot + 1..nthreads {
-                    report.frames.push(FrameInfo {
-                        tid: rest,
-                        payload_len: 0,
-                        status: FrameStatus::Missing,
-                        salvaged_events: 0,
-                        trusted_ts: 0,
-                    });
-                    threads.push(placeholder_thread(rest));
-                }
-                let rem = buf.remaining();
-                buf.take(rem);
-                break;
-            }
-        }
-    }
-    if buf.has_remaining() {
-        if mode == DecodeMode::Strict {
-            return cerr("trailing bytes");
-        }
-        report.bytes_dropped += buf.remaining();
-    }
-    Ok((ReplayLog { threads, total_instructions }, report))
 }
 
 fn decode_body_v2(
@@ -743,8 +659,7 @@ pub fn strip_damaged(log: &ReplayLog, report: &DecodeReport) -> ReplayLog {
 /// Byte ranges (frame header + payload) of the per-thread frames of an
 /// encoded log — the corruption harness and `doctor` use them to aim
 /// frame-level mutations and truncations. Best-effort: stops at the
-/// first frame that runs off the end; empty for version-1 logs, which
-/// have no framing.
+/// first frame that runs off the end.
 #[must_use]
 pub fn frame_spans(bytes: &[u8]) -> Vec<Range<usize>> {
     let mut buf = Reader::new(bytes);
@@ -1333,14 +1248,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_decode_roundtrip() {
-        let log = two_thread_log();
-        let bytes = encode_log_v1(&log);
-        assert_eq!(bytes[4], LEGACY_VERSION);
-        let (decoded, report) = decode_log_mode(&bytes, DecodeMode::Strict).unwrap();
-        assert_eq!(decoded, log);
-        assert_eq!(report.format_version, LEGACY_VERSION);
-        assert!(report.is_clean());
+    fn version_1_containers_are_rejected() {
+        let mut bytes = encode_log(&two_thread_log());
+        bytes[4] = 1;
+        for mode in [DecodeMode::Strict, DecodeMode::Tolerant] {
+            let err = decode_log_mode(&bytes, mode).unwrap_err();
+            assert_eq!(err.message, "unsupported format version 1", "{mode:?}");
+        }
     }
 
     #[test]
@@ -1353,7 +1267,6 @@ mod tests {
         for span in &spans {
             assert!(span.len() > FRAME_HEADER);
         }
-        assert!(frame_spans(&encode_log_v1(&log)).is_empty(), "v1 has no frames");
     }
 
     #[test]

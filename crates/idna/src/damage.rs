@@ -7,7 +7,7 @@
 //! history. A [`TraceDamage`] records, per damaged thread, how far its
 //! surviving log is trusted and what it *may* have written — either
 //! "anything" (the codec's conservative default) or the static analyzer's
-//! may-write set (`replay_race::damage_profile`). The virtual processor
+//! may-write set (`replay_race::pipeline::analyze`). The virtual processor
 //! consults it on every live-in fetch: a fetch that a damaged thread
 //! could have influenced fails with `ReplayFailure::LogDamage`, which the
 //! classifier maps to *potentially harmful* per the paper's §4 rule that

@@ -9,8 +9,7 @@
 //! failure reproduces from the printed seed.
 
 use idna_replay::codec::{
-    compress, decode_log, decode_log_mode, decompress, encode_log, encode_log_v1, DecodeMode,
-    LogWriter,
+    compress, decode_log, decode_log_mode, decompress, encode_log, DecodeMode, LogWriter,
 };
 use idna_replay::event::{EndStatus, ReplayLog, ThreadEvent, ThreadLog};
 use tvm::isa::NUM_REGS;
@@ -182,8 +181,8 @@ const PINNED_V2: &str = "49444e4c0209022f000000c0a1d8152f5ef2cc00046d61696e00b4\
 4023000000f738fc54c4e4418b010177000000000000000000000000000000000801020302003\
 0020801010000818001";
 
-/// The v1 (legacy, unframed) encoding of the same log. v1 logs exist on
-/// disk; the decoder must keep reading these exact bytes forever.
+/// The v1 (pre-framing) encoding of the same log. Version 1 is no longer
+/// decoded: these bytes must be refused by version, never misread as v2.
 const PINNED_V1: &str = "49444e4c01090200046d61696e00b4240000000000000000000000\
 0000000000070400050001010103030000990102030201008080400101770000000000000000\
 0000000000000000080102030200300208010100\
@@ -202,14 +201,10 @@ fn v2_encoding_is_byte_stable() {
 }
 
 #[test]
-fn v1_pinned_bytes_still_decode() {
-    let log = pinned_log();
-    assert_eq!(hex(&encode_log_v1(&log)), PINNED_V1, "v1 re-encoder drifted from the pin");
+fn v1_pinned_bytes_are_rejected() {
     for mode in [DecodeMode::Strict, DecodeMode::Tolerant] {
-        let (decoded, report) =
-            decode_log_mode(&unhex(PINNED_V1), mode).expect("v1 bytes must decode");
-        assert_eq!(decoded, log, "{mode:?}");
-        assert!(report.is_clean(), "v1 has no frames to damage ({mode:?})");
+        let err = decode_log_mode(&unhex(PINNED_V1), mode).expect_err("v1 bytes must not decode");
+        assert_eq!(err.message, "unsupported format version 1", "{mode:?}");
     }
 }
 

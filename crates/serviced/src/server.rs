@@ -32,16 +32,15 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use minijson::Json;
-use replay_race::classify::{classify_races_with, static_predictions, ClassifierConfig};
-use replay_race::detect::{detect_races, DetectorConfig};
-use replay_race::report::Report;
+use replay_race::classify::{static_predictions, ClassifierConfig};
+use replay_race::pipeline::{analyze, Analysis};
 use tvm::asm::assemble;
+use tvm::predecode::DecodedProgram;
 
 use crate::container::log_from_bytes_mode;
 use crate::memo::{MemoKey, ReportMemo};
 use crate::proto::{b64_decode, read_frame, write_frame, ProtoError};
 use idna_replay::codec::DecodeMode;
-use idna_replay::replayer::replay;
 
 /// Server options (the `racerep serve` flags).
 #[derive(Clone, Debug)]
@@ -81,9 +80,10 @@ struct Counters {
     rejected: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
-    /// Per-phase wall-clock nanos, summed across jobs — the service-side
-    /// analogue of the pipeline's `PhaseTimings` (there is no native or
-    /// record phase server-side: the log arrives recorded).
+    /// Per-phase wall-clock nanos, summed across jobs: decode (assembly
+    /// and container) plus the [`analyze`] phase timings. Classify also
+    /// counts the static predictions under `--trust-static`; report also
+    /// counts rendering the report JSON.
     decode_ns: AtomicU64,
     replay_ns: AtomicU64,
     detect_ns: AtomicU64,
@@ -118,8 +118,8 @@ pub struct Server {
 /// Milliseconds a rejected client should wait before retrying.
 const RETRY_AFTER_MS: u64 = 250;
 
-/// Accept-loop poll interval while idle (the loop must notice drain flags
-/// promptly without busy-spinning).
+/// How often the signal watcher checks the SIGINT/SIGTERM latch, and the
+/// acceptor's back-off after a failed `accept`.
 const POLL: Duration = Duration::from_millis(25);
 
 #[cfg(unix)]
@@ -204,7 +204,8 @@ impl Server {
     }
 
     /// Runs the accept loop until drain, then finishes queued jobs and
-    /// returns. Installs SIGINT/SIGTERM latches on unix.
+    /// returns. Installs SIGINT/SIGTERM latches on unix, watched by a
+    /// helper thread.
     ///
     /// # Errors
     ///
@@ -212,40 +213,50 @@ impl Server {
     /// answered on the wire and logged to the counters.
     pub fn run(self) -> Result<(), String> {
         signals::install();
-        self.listener.set_nonblocking(true).map_err(|e| e.to_string())?;
+        let mut wake_addr = self.listener.local_addr().map_err(|e| e.to_string())?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(std::net::Ipv4Addr::LOCALHOST.into());
+        }
         let shared = self.shared;
         std::thread::scope(|scope| {
             for _ in 0..shared.config.workers {
                 let shared = Arc::clone(&shared);
                 scope.spawn(move || worker_loop(&shared));
             }
-            loop {
-                if signals::requested() {
-                    shared.draining.store(true, Ordering::SeqCst);
-                }
-                if shared.draining.load(Ordering::SeqCst) {
-                    break;
-                }
+            scope.spawn(|| watch_signals(&shared, wake_addr));
+            // The acceptor blocks in `accept`, so a connection is served
+            // the moment it arrives. A protocol `shutdown` sets the drain
+            // flag from inside `handle_connection`; a signal's drain is
+            // delivered by the watcher's wake-up connection.
+            while !shared.draining.load(Ordering::SeqCst) {
                 match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        stream.set_nonblocking(false).ok();
+                    Ok((stream, _peer)) if !shared.draining.load(Ordering::SeqCst) => {
                         handle_connection(&shared, stream);
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL);
-                    }
-                    Err(e) => {
-                        // Transient accept errors (aborted handshakes)
-                        // should not kill the service.
-                        let _ = e;
-                        std::thread::sleep(POLL);
-                    }
+                    Ok(_) => {}
+                    // Transient accept errors (aborted handshakes, fd
+                    // exhaustion) should not kill the service, nor spin.
+                    Err(_) => std::thread::sleep(POLL),
                 }
             }
             // Drain: wake every worker; each exits once the queue is dry.
             shared.available.notify_all();
         });
         Ok(())
+    }
+}
+
+/// Turns a latched SIGINT/SIGTERM into a drain: sets the flag, then wakes
+/// the acceptor blocked in `accept` with one loopback connection. Exits
+/// once the server drains for any reason.
+fn watch_signals(shared: &Shared, wake_addr: std::net::SocketAddr) {
+    while !shared.draining.load(Ordering::SeqCst) {
+        if signals::requested() {
+            shared.draining.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(wake_addr);
+            return;
+        }
+        std::thread::sleep(POLL);
     }
 }
 
@@ -335,9 +346,10 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 /// Answers one submission: from the memo when it holds this exact
-/// (program, log, configuration), otherwise by assembling, decoding,
-/// replaying, detecting, classifying and rendering the same report JSON
-/// value as one-shot `racerep races --format json`, then memoizing it.
+/// (program, log, configuration), otherwise by assembling and decoding it
+/// and running [`analyze`] — the path one-shot `racerep races` takes — to
+/// render the same report JSON value as `racerep races --format json`,
+/// then memoizing it.
 fn run_submission(shared: &Shared, doc: &Json) -> Result<Json, String> {
     let counters = &shared.counters;
     let source = doc
@@ -352,13 +364,13 @@ fn run_submission(shared: &Shared, doc: &Json) -> Result<Json, String> {
 
     let start = Instant::now();
     let container = b64_decode(log_b64).map_err(|e: ProtoError| e.message)?;
-    counters.decode_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    add_ns(&counters.decode_ns, start.elapsed());
 
     let start = Instant::now();
     let memo =
         shared.memo.as_ref().map(|memo| (memo, MemoKey::new(source, &container, &classifier)));
     let memoized = memo.as_ref().and_then(|(memo, key)| memo.get(key));
-    counters.memo_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    add_ns(&counters.memo_ns, start.elapsed());
     if let Some(report_json) = memoized {
         return Ok(result_json(report_json, 0, true));
     }
@@ -369,35 +381,39 @@ fn run_submission(shared: &Shared, doc: &Json) -> Result<Json, String> {
     if program.threads().is_empty() {
         return Err("program has no threads".into());
     }
-    let program = Arc::new(program);
-    let (log, _schedule, _decode) = log_from_bytes_mode(&container, DecodeMode::Strict)?;
-    counters.decode_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    let decoded = Arc::new(DecodedProgram::new(Arc::new(program)));
+    let (log, _schedule, decode) = log_from_bytes_mode(&container, DecodeMode::Strict)?;
+    add_ns(&counters.decode_ns, start.elapsed());
 
     let start = Instant::now();
-    let trace = replay(&program, &log).map_err(|e| e.to_string())?;
-    counters.replay_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-
+    let predictions = static_predictions(decoded.program(), classifier.trust_static);
+    let predict = start.elapsed();
+    // The trace and detections are dropped here; only the report is kept,
+    // and only until it is rendered.
+    let Analysis { report, classification, timings, .. } =
+        analyze(&decoded, &log, &decode, &classifier, predictions.as_ref())
+            .map_err(|e| e.to_string())?;
     let start = Instant::now();
-    let detected = detect_races(&trace, &DetectorConfig::default());
-    counters.detect_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-
-    let start = Instant::now();
-    let predictions = static_predictions(&program, classifier.trust_static);
-    let classification = classify_races_with(&trace, &detected, &classifier, predictions.as_ref());
-    counters.classify_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-
-    let start = Instant::now();
-    let report_json = Report::build(&trace, &classification).to_json_value();
-    counters.report_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    let report_json = report.to_json_value();
+    drop(report);
+    add_ns(&counters.replay_ns, timings.replay);
+    add_ns(&counters.detect_ns, timings.detect);
+    add_ns(&counters.classify_ns, predict + timings.classify);
+    add_ns(&counters.report_ns, timings.report + start.elapsed());
 
     if let Some((memo, key)) = &memo {
         let start = Instant::now();
         // A failed write is counted by the memo; the client still gets its
         // report.
         let _ = memo.put(key, &report_json);
-        counters.memo_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        add_ns(&counters.memo_ns, start.elapsed());
     }
     Ok(result_json(report_json, classification.vproc_replays, false))
+}
+
+/// Adds one job's time in a phase to its `phase_ns` counter.
+fn add_ns(counter: &AtomicU64, elapsed: Duration) {
+    counter.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
 }
 
 /// A submit's `result` response. `cached` says the report came from the
@@ -459,4 +475,30 @@ fn stats_json(shared: &Shared) -> Json {
         ));
     }
     Json::obj(fields)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client;
+
+    #[test]
+    fn back_to_back_requests_do_not_wait_for_the_acceptor() {
+        let server =
+            Server::bind(ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() })
+                .unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || server.run());
+        // Each request is answered in well under a millisecond once
+        // accepted; an acceptor that slept between nonblocking polls
+        // would add up to one 25 ms nap per request (~500 ms here).
+        let start = Instant::now();
+        for _ in 0..20 {
+            client::stats(&addr).expect("stats");
+        }
+        let elapsed = start.elapsed();
+        client::shutdown(&addr).expect("shutdown");
+        handle.join().expect("server thread").expect("clean drain");
+        assert!(elapsed < Duration::from_millis(250), "20 stats requests took {elapsed:?}");
+    }
 }

@@ -279,7 +279,9 @@ mod tests {
         )
         .expect("pipeline");
         // The racy stats counters and fetched-flag handoffs are real races.
-        assert!(result.detected.unique_races() > 0);
-        assert!(result.detected.instance_count() > result.detected.unique_races());
+        assert!(result.analysis.detected.unique_races() > 0);
+        assert!(
+            result.analysis.detected.instance_count() > result.analysis.detected.unique_races()
+        );
     }
 }

@@ -19,8 +19,8 @@ use replay_race::classify::{
     merge_classifications, predictions_by_id, ClassificationResult, ClassifierConfig, OutcomeGroup,
     StaticPrediction, TrustStatic, Verdict,
 };
-use replay_race::detect::{DetectorConfig, StaticRaceId};
-use replay_race::pipeline::{run_pipeline, PipelineConfig, PipelineResult};
+use replay_race::detect::StaticRaceId;
+use replay_race::pipeline::{run_pipeline, Analysis, PipelineConfig, PipelineResult};
 use replay_race::static_feed::{classify_static_warnings, StaticConfusion};
 use replay_race::InstanceOutcome;
 
@@ -117,13 +117,15 @@ pub fn run_corpus_with_predictions(
         let program = corpus_program(&enabled);
         let config = PipelineConfig {
             run: exec.schedule,
-            detector: DetectorConfig::default(),
             classifier: *classifier,
             static_predictions: predictions.clone(),
-            measure_native: false,
         };
-        let PipelineResult { detected, classification, log_size, instructions, .. } =
-            run_pipeline(&program, &config).expect("corpus recording must replay");
+        let PipelineResult {
+            analysis: Analysis { detected, classification, .. },
+            log_size,
+            instructions,
+            ..
+        } = run_pipeline(&program, &config).expect("corpus recording must replay");
         total_instructions += instructions;
         outcomes.push(ExecutionOutcome {
             name: exec.name,

@@ -211,8 +211,10 @@ pub(crate) mod testutil {
         let emitted = emit(&mut ctx);
         let program: Arc<Program> = Arc::new(b.build());
         let truth = TruthTable::resolve(&program, &emitted.races);
-        let result =
-            run_pipeline(&program, &PipelineConfig::new(run)).expect("pipeline").classification;
+        let result = run_pipeline(&program, &PipelineConfig::new(run))
+            .expect("pipeline")
+            .analysis
+            .classification;
         let mut groups = BTreeMap::new();
         for (id, _) in truth.iter() {
             groups.insert(id, result.races.get(&id).map(|r| r.group));

@@ -6,8 +6,13 @@
 //! cargo run --release -p workloads --example overhead_study
 //! ```
 
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
 use replay_race::pipeline::{run_pipeline, PipelineConfig};
-use tvm::scheduler::RunConfig;
+use tvm::machine::Machine;
+use tvm::predecode::DecodedProgram;
+use tvm::scheduler::{run_native, RunConfig};
 use workloads::browser::{browser_program, BrowserConfig};
 
 fn main() {
@@ -15,38 +20,31 @@ fn main() {
     println!("browser workload: {} threads, {} jobs (paper: 27 threads)", cfg.threads(), cfg.jobs);
     let program = browser_program(&cfg);
     let run = RunConfig::chunked(7, 1, 8).with_max_steps(50_000_000);
+    let start = Instant::now();
+    run_native(&mut Machine::with_decoded(Arc::new(DecodedProgram::new(program.clone()))), &run);
+    let native = start.elapsed();
     let result = run_pipeline(&program, &PipelineConfig::new(run)).expect("pipeline");
 
-    let t = &result.timings;
+    let detected = &result.analysis.detected;
+    let t = &result.analysis.timings;
+    let slowdown = |phase: Duration| phase.as_secs_f64() / native.as_secs_f64().max(1e-12);
     println!("instructions executed : {}", result.instructions);
     println!(
         "dynamic race instances: {} ({} unique races; paper's IE run: 2,196 instances)",
-        result.detected.instance_count(),
-        result.detected.unique_races()
+        detected.instance_count(),
+        detected.unique_races()
     );
     println!();
     println!("phase           time        overhead vs native   (paper)");
-    println!("native          {:>9.3?}   1.0x", t.native);
-    println!(
-        "record          {:>9.3?}   {:>6.1}x              (~6x)",
-        t.record,
-        t.overhead(t.record)
-    );
-    println!(
-        "replay          {:>9.3?}   {:>6.1}x              (~10x)",
-        t.replay,
-        t.overhead(t.replay)
-    );
-    println!(
-        "hb detection    {:>9.3?}   {:>6.1}x              (~45x)",
-        t.detect,
-        t.overhead(t.detect)
-    );
-    println!(
-        "classification  {:>9.3?}   {:>6.1}x              (~280x)",
-        t.classify,
-        t.overhead(t.classify)
-    );
+    println!("native          {native:>9.3?}   1.0x");
+    for (label, phase, paper) in [
+        ("record", result.record_time, "~6x"),
+        ("replay", t.replay, "~10x"),
+        ("hb detection", t.detect, "~45x"),
+        ("classification", t.classify, "~280x"),
+    ] {
+        println!("{label:<15} {phase:>9.3?}   {:>6.1}x              ({paper})", slowdown(phase));
+    }
     println!();
     println!(
         "log size: {} bytes raw = {:.3} bits/instr (paper ~0.8); compressed {} bytes = {:.3} bits/instr (paper ~0.3)",

@@ -38,15 +38,15 @@ fn main() {
     let result = run_pipeline(&program, &config).expect("fresh recordings always replay");
 
     println!("instructions executed : {}", result.instructions);
-    println!("unique data races     : {}", result.detected.unique_races());
-    println!("dynamic race instances: {}", result.detected.instance_count());
+    println!("unique data races     : {}", result.analysis.detected.unique_races());
+    println!("dynamic race instances: {}", result.analysis.detected.instance_count());
     println!(
         "potentially harmful   : {}",
-        result.classification.with_verdict(Verdict::PotentiallyHarmful).count()
+        result.analysis.classification.with_verdict(Verdict::PotentiallyHarmful).count()
     );
     println!(
         "potentially benign    : {}",
-        result.classification.with_verdict(Verdict::PotentiallyBenign).count()
+        result.analysis.classification.with_verdict(Verdict::PotentiallyBenign).count()
     );
     println!(
         "log size              : {} bytes raw ({:.2} bits/instr), {} bytes compressed",
@@ -55,5 +55,5 @@ fn main() {
         result.log_size.compressed_bytes
     );
     println!();
-    println!("{}", result.report.to_text());
+    println!("{}", result.analysis.report.to_text());
 }

@@ -69,12 +69,12 @@ fn main() {
         let config = PipelineConfig::new(RunConfig::chunked(seed, 1, 6).with_max_steps(200_000));
         let result = run_pipeline(&program, &config).expect("replay");
         let harmful: Vec<_> =
-            result.classification.with_verdict(Verdict::PotentiallyHarmful).collect();
+            result.analysis.classification.with_verdict(Verdict::PotentiallyHarmful).collect();
         if harmful.is_empty() {
             continue;
         }
         println!("schedule seed {seed} exposed the bug\n");
-        println!("{}", result.report.to_text());
+        println!("{}", result.analysis.report.to_text());
         println!("triage summary:");
         for race in &harmful {
             println!(

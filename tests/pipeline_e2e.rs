@@ -22,12 +22,16 @@ fn browser_pipeline_end_to_end() {
     .expect("pipeline");
     assert!(result.run_completed);
     // The browser has real races (racy stats, flag handoffs).
-    assert!(result.detected.unique_races() >= 3, "{}", result.detected.unique_races());
+    assert!(
+        result.analysis.detected.unique_races() >= 3,
+        "{}",
+        result.analysis.detected.unique_races()
+    );
     // The racy statistics counters must be flagged potentially harmful
     // (they change state) — the browser's developers would triage them.
-    assert!(result.classification.with_verdict(Verdict::PotentiallyHarmful).count() >= 1);
+    assert!(result.analysis.classification.with_verdict(Verdict::PotentiallyHarmful).count() >= 1);
     // Reports render for every race.
-    let text = result.report.to_text();
+    let text = result.analysis.report.to_text();
     assert!(text.contains("data race report"));
     // Log sizes are sane.
     assert!(result.log_size.raw_bytes > 0);
@@ -41,10 +45,12 @@ fn pipeline_is_deterministic_end_to_end() {
     let a = run_pipeline(&program, &cfg).expect("pipeline");
     let b = run_pipeline(&program, &cfg).expect("pipeline");
     assert_eq!(a.instructions, b.instructions);
-    assert_eq!(a.detected.instance_count(), b.detected.instance_count());
+    assert_eq!(a.analysis.detected.instance_count(), b.analysis.detected.instance_count());
     assert_eq!(a.log_size.raw_bytes, b.log_size.raw_bytes);
-    let groups_a: Vec<_> = a.classification.races.values().map(|r| (r.id, r.group)).collect();
-    let groups_b: Vec<_> = b.classification.races.values().map(|r| (r.id, r.group)).collect();
+    let groups_a: Vec<_> =
+        a.analysis.classification.races.values().map(|r| (r.id, r.group)).collect();
+    let groups_b: Vec<_> =
+        b.analysis.classification.races.values().map(|r| (r.id, r.group)).collect();
     assert_eq!(groups_a, groups_b);
 }
 
@@ -74,9 +80,12 @@ fn permissive_control_flow_fixes_the_replayer_limitation_races() {
         let pc_b = program.mark("dc_c1.outer_check").unwrap();
         replay_race::detect::StaticRaceId::new(pc_a, pc_b)
     };
-    assert_eq!(strict.classification.races[&dc_cold_id].group, OutcomeGroup::ReplayFailure);
     assert_eq!(
-        permissive.classification.races[&dc_cold_id].group,
+        strict.analysis.classification.races[&dc_cold_id].group,
+        OutcomeGroup::ReplayFailure
+    );
+    assert_eq!(
+        permissive.analysis.classification.races[&dc_cold_id].group,
         OutcomeGroup::NoStateChange,
         "the paper predicts the limitation races become no-state-change"
     );
@@ -96,6 +105,7 @@ fn permissive_state_change_scenarios_quote_the_classifiers_live_outs() {
         cfg.classifier = ClassifierConfig { vproc: VprocConfig::permissive(), ..cfg.classifier };
         let result = run_pipeline(&program, &cfg).expect("pipeline");
         let differences: Vec<&str> = result
+            .analysis
             .report
             .races
             .iter()
@@ -121,10 +131,11 @@ fn time_travel_reconstructs_states_along_a_pipeline_trace() {
         &PipelineConfig::new(RunConfig::round_robin(4).with_max_steps(10_000_000)),
     )
     .expect("pipeline");
-    let tt = TimeTraveler::new(&result.trace);
+    let tt = TimeTraveler::new(&result.analysis.trace);
     // Walk backwards through the first thread's execution; every state must
     // be reconstructible.
     let last_region = result
+        .analysis
         .trace
         .regions()
         .iter()
@@ -144,7 +155,7 @@ fn report_json_round_trips_for_real_workloads() {
         &PipelineConfig::new(RunConfig::chunked(5, 1, 8).with_max_steps(10_000_000)),
     )
     .expect("pipeline");
-    let json = result.report.to_json();
+    let json = result.analysis.report.to_json();
     let parsed = replay_race::report::Report::from_json(&json).expect("parse");
-    assert_eq!(parsed.races.len(), result.report.races.len());
+    assert_eq!(parsed.races.len(), result.analysis.report.races.len());
 }
